@@ -95,14 +95,38 @@ def solve_minimax(
 ) -> BudgetSolution:
     """Optimal size-min(k, n) subset under the minimax regret criterion.
 
-    For each act i take its k largest regrets, note their minimum and where
-    it sits; the act with the smallest such minimum anchors the answer: keep
-    it together with its top challengers except the one attaining the
-    minimum. Ties follow the lex or seeded policy.
+    For each act i take its k largest regrets, note their minimum (the k-th
+    largest regret of row i) and where it sits; the act with the smallest
+    such minimum anchors the answer: keep it together with its top
+    challengers except the one attaining the minimum.
+
+    Ties under the lex policy: the anchor i_star is the lowest index whose
+    k-th largest regret is smallest; its top challengers are taken in order
+    of decreasing regret, lower index first among equal regrets; and the
+    dropped challenger is the lowest-index one among those top challengers
+    whose regret equals the k-th largest. The returned value is row
+    i_star's k-th largest regret itself, so a signed zero keeps that row's
+    sign. The seeded policy instead draws the border challengers and both
+    picks with one generator, row by row.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
     return _minimax_impl(matrix, k, rng, label)
+
+
+def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None):
+    """Act i's k top challengers, their smallest regret, and the one to drop."""
+    order = sorted((j for j in range(len(vals)) if j != i), key=lambda j: (-vals[j], j))
+    threshold = vals[order[k - 1]]
+    if rng is None:
+        top = order[:k]
+    else:
+        definite = [j for j in order[:k] if vals[j] > threshold]
+        border = [j for j in order if vals[j] == threshold]
+        extra = rng.choice(len(border), size=k - len(definite), replace=False)
+        top = definite + [border[t] for t in sorted(int(t) for t in extra)]
+    at_min = [j for j in top if vals[j] == threshold]
+    return top, threshold, _pick(at_min, rng)
 
 
 def _minimax_impl(
@@ -111,27 +135,21 @@ def _minimax_impl(
     n = matrix.n
     if k >= n:
         return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MINIMAX, 1, label)
-    tops: list[list[int]] = []
-    mins: list[float] = []
-    drop: list[int] = []
-    for i in range(n):
-        vals = matrix.entries[i]
-        order = sorted((j for j in range(n) if j != i), key=lambda j: (-vals[j], j))
-        threshold = float(vals[order[k - 1]])
-        if rng is None:
-            top = order[:k]
-        else:
-            definite = [j for j in order[:k] if vals[j] > threshold]
-            border = [j for j in order if vals[j] == threshold]
-            extra = rng.choice(len(border), size=k - len(definite), replace=False)
-            top = definite + [border[t] for t in sorted(int(t) for t in extra)]
-        at_min = [j for j in top if vals[j] == threshold]
-        tops.append(top)
-        mins.append(threshold)
-        drop.append(_pick(at_min, rng))
-    best = min(mins)
-    i_star = _pick([i for i in range(n) if mins[i] == best], rng)
-    subset = sorted(({i_star} | set(tops[i_star])) - {drop[i_star]})
+    if rng is None:
+        # Entries are finite, so the -inf diagonal sorts first in each row and
+        # ascending place n - k holds the k-th largest regret against the others.
+        regrets = matrix.entries.copy()
+        np.fill_diagonal(regrets, NEG_INFINITY)
+        kth = np.partition(regrets, n - k, axis=1)[:, n - k]
+        i_star = int(np.argmin(kth))
+        top, best, drop = _row_top(matrix.entries[i_star].tolist(), i_star, k, None)
+    else:
+        rows = matrix.entries.tolist()
+        picks = [_row_top(rows[i], i, k, rng) for i in range(n)]
+        best = min(threshold for _, threshold, _ in picks)
+        i_star = _pick([i for i in range(n) if picks[i][1] == best], rng)
+        top, _, drop = picks[i_star]
+    subset = sorted(({i_star} | set(top)) - {drop})
     return BudgetSolution(tuple(subset), best, Criterion.MINIMAX, 1, label)
 
 

@@ -111,6 +111,9 @@ class CredalSet:
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ValueError("credal.vertices: expected a nonempty list of pmf vectors")
+        if not np.isfinite(arr).all():
+            bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
+            raise ValueError(f"credal.vertices[{bad}]: probability mass must be finite")
         if np.min(arr) < -tol:
             bad = int(np.argmin(np.min(arr, axis=1)))
             raise ValueError(f"credal.vertices[{bad}]: negative probability mass")

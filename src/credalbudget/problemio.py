@@ -11,6 +11,7 @@ accepted as precomputed problems too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,10 +37,10 @@ class Problem:
             return self.matrix.names
         return tuple(a.name for a in self.acts)
 
-    def regret_matrix(self, *, threads: int | None = None) -> RegretMatrix:
+    def regret_matrix(self) -> RegretMatrix:
         if self.matrix is not None:
             return self.matrix
-        return regret_matrix(list(self.acts), self.credal, threads=threads)
+        return regret_matrix(list(self.acts), self.credal)
 
 
 def _require(data: dict, key: str, kind, where: str):
@@ -58,7 +59,14 @@ def _numeric_vector(values, length: int | None, where: str) -> tuple[float, ...]
         raise ProblemFormatError(f"{where}: expected a list of numbers")
     if length is not None and len(values) != length:
         raise ProblemFormatError(f"{where}: expected {length} numbers, got {len(values)}")
-    return tuple(float(v) for v in values)
+    try:
+        floats = tuple(float(v) for v in values)
+        finite = all(math.isfinite(v) for v in floats)  # Python's json reads NaN and Infinity
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ProblemFormatError(f"{where}: numbers must be finite")
+    return floats
 
 
 def problem_from_dict(data: dict) -> Problem:
@@ -147,7 +155,7 @@ def problem_from_dict(data: dict) -> Problem:
                 raise ProblemFormatError(f"credal.constraints[{i}].rhs: expected a number")
             try:
                 rows.append(LinearConstraint(coeffs, relation, float(rhs)))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ProblemFormatError(f"credal.constraints[{i}]: {exc}") from exc
         credal = CredalSet.from_constraints(rows, states.size)  # raises InfeasibleCredalError
 

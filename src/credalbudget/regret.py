@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,7 @@ NEG_INFINITY = float("-inf")
 
 MAXIMALITY_TOL = 1e-9
 
-THREADS_ENV_VAR = "CREDALBUDGET_THREADS"
+REGRET_BLOCK_FLOATS = 2**18  # float64 temporaries of 2 MiB per block of vertices
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +35,9 @@ class RegretMatrix:
         n = len(self.names)
         if entries.shape != (n, n):
             raise ValueError(f"matrix: expected shape {(n, n)}, got {entries.shape}")
+        if not np.isfinite(entries).all():
+            i, j = np.argwhere(~np.isfinite(entries))[0]
+            raise ValueError(f"matrix[{i}][{j}]: entries must be finite, got {entries[i, j]}")
         object.__setattr__(self, "entries", entries)
         entries.setflags(write=False)
 
@@ -55,26 +56,35 @@ class RegretMatrix:
 
     def submatrix(self, indices) -> "RegretMatrix":
         idx = list(indices)
-        sub = self.entries[np.ix_(idx, idx)].copy()
+        sub = self.entries[np.ix_(idx, idx)]  # fancy indexing already copies
         return RegretMatrix(tuple(self.names[i] for i in idx), sub)
 
 
 def pairwise_regret_from_vertices(vertices: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-    """Vectorized entries[i, j] = max over vertices of E_v(a_j) - E_v(a_i)."""
+    """Vectorized entries[i, j] = max over vertices of E_v(a_j) - E_v(a_i).
+
+    Vertices go through in blocks of at most REGRET_BLOCK_FLOATS / n_acts**2
+    (at least one), so memory is O(n_acts**2) however many vertices there
+    are; small problems take a single block. The max is exact, so the block
+    size never changes the result.
+    """
     ev = vertices @ payoffs.T  # (n_vertices, n_acts)
-    diff = ev[:, None, :] - ev[:, :, None]  # diff[v, i, j] = E_v(a_j) - E_v(a_i)
-    entries = diff.max(axis=0)
+    n = ev.shape[1]
+    step = max(1, REGRET_BLOCK_FLOATS // (n * n))
+    entries = None
+    for start in range(0, ev.shape[0], step):
+        block = ev[start:start + step]
+        part = (block[:, None, :] - block[:, :, None]).max(axis=0)  # over v of E_v(a_j) - E_v(a_i)
+        entries = part if entries is None else np.maximum(entries, part, out=entries)
     np.fill_diagonal(entries, 0.0)
     return entries
 
 
-def regret_matrix(acts: list[Act], credal: CredalSet, *, threads: int | None = None) -> RegretMatrix:
+def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     """Compute all pairwise regrets for the acts under the credal set.
 
     Vertex-form credal sets use one vectorized pass. Constraint-form sets
-    solve one LP per ordered pair; with threads > 1 the solves run on a
-    thread pool, each entry written to its own slot, so the result is
-    identical for any pool size.
+    solve one LP per ordered pair.
     """
     if len(acts) == 0:
         raise ValueError("acts: at least one act is required")
@@ -88,22 +98,11 @@ def regret_matrix(acts: list[Act], credal: CredalSet, *, threads: int | None = N
         return RegretMatrix(names, pairwise_regret_from_vertices(credal.vertices, payoffs))
 
     n = len(acts)
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     entries = np.zeros((n, n))
-
-    def solve(pair):
-        i, j = pair
-        return i, j, credal.upper_expectation(payoffs[j] - payoffs[i])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, pairs))
-    else:
-        results = [solve(p) for p in pairs]
-    for i, j, value in results:
-        entries[i, j] = value
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
     return RegretMatrix(names, entries)
 
 
@@ -212,5 +211,10 @@ def matrix_from_csv(text: str) -> RegretMatrix:
                 continue
             if cell.strip() in ("", "-"):
                 raise ValueError(f"matrix csv row {j + 1}: empty off-diagonal cell")
-            entries[i, j] = float(cell)
+            value = float(cell)
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"matrix csv row {j + 1}, column {names[i]!r}: {cell!r} is not finite"
+                )
+            entries[i, j] = value
     return RegretMatrix(names, entries)

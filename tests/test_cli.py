@@ -261,3 +261,56 @@ def test_experiment_smoke(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "consistency_trials.csv").exists()
     assert "exact_minimax" in out
+
+
+NON_FINITE_MATRIX = '{"matrix": [[0, NaN, 1], [2, 0, 3], [1, Infinity, 0]]}'
+
+
+@pytest.mark.parametrize("criterion", ["minimax", "maximin", "greedy-minimax"])
+def test_non_finite_json_matrix_exits_one(capsys, tmp_path, criterion):
+    path = tmp_path / "bad.json"
+    path.write_text(NON_FINITE_MATRIX)
+    code, out, err = run_cli(
+        capsys, "solve", "--problem", str(path), "--k", "1", "--criterion", criterion
+    )
+    assert (code, out) == (1, "")
+    assert "matrix[0]: numbers must be finite" in err
+
+
+def test_json_integer_beyond_float_range_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"matrix": [[0, 1%s], [2, 0]]}' % ("0" * 400))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path), "--k", "1")
+    assert (code, out) == (1, "")
+    assert "matrix[0]: numbers must be finite" in err
+
+
+def test_non_finite_json_vertex_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"states": ["w1", "w2"], "acts": [{"name": "a", "payoffs": [1, 2]}],'
+        ' "credal": {"vertices": [[0.5, 0.5], [NaN, 0.5]]}}'
+    )
+    code, out, err = run_cli(capsys, "matrix", "--problem", str(path))
+    assert (code, out) == (1, "")
+    assert "credal.vertices[1]: numbers must be finite" in err
+
+
+def test_non_finite_json_payoff_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"states": ["w1", "w2"], "acts": [{"name": "a", "payoffs": [1, -Infinity]}],'
+        ' "credal": {"vertices": [[0.5, 0.5]]}}'
+    )
+    code, out, err = run_cli(capsys, "maximality", "--problem", str(path))
+    assert (code, out) == (1, "")
+    assert "acts[0].payoffs: numbers must be finite" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_matrix_csv_exits_one(capsys, tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f",a1,a2,a3\na1,,2,1\na2,{cell},,1\na3,1,3,\n")
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path), "--k", "1")
+    assert (code, out) == (1, "")
+    assert f"matrix csv row 2, column 'a1': '{cell}' is not finite" in err

@@ -133,5 +133,7 @@ def test_state_space_and_act_validation():
         StateSpace(())
     with pytest.raises(ValueError, match="finite"):
         Act("a1", (1.0, float("nan")))
+    with pytest.raises(ValueError, match=r"credal.vertices\[1\]: probability mass must be finite"):
+        CredalSet.from_vertices([[0.5, 0.5, 0.0], [float("nan"), 0.5, 0.5]])
     with pytest.raises(ValueError, match="relation"):
         LinearConstraint((1.0,), "<", 0.5)

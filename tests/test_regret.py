@@ -156,21 +156,15 @@ def test_csv_rejects_bad_shapes():
         matrix_from_csv(",a1,a2\na1,,1.0\nzz,2.0,\n")
 
 
-def test_threaded_matrix_identical(problems):
-    problem = problems["finance"]
-    base = regret_matrix(list(problem.acts), problem.credal, threads=1)
-    pooled = regret_matrix(list(problem.acts), problem.credal, threads=4)
-    assert np.array_equal(base.entries, pooled.entries)
-
-
-def test_threads_env_var(problems, monkeypatch):
-    monkeypatch.setenv("CREDALBUDGET_THREADS", "3")
-    problem = problems["intro"]
-    via_env = regret_matrix(list(problem.acts), problem.credal)
-    assert np.array_equal(via_env.entries, problems["intro"].regret_matrix().entries)
-
-
 def test_regret_matrix_rejects_mixed_dimensions():
     acts = [Act("a1", (1.0, 2.0)), Act("a2", (1.0, 2.0, 3.0))]
     with pytest.raises(ValueError, match="dimension"):
         regret_matrix(acts, CredalSet.from_vertices([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_regret_matrix_rejects_non_finite_entries(bad):
+    entries = np.zeros((3, 3))
+    entries[1, 2] = bad
+    with pytest.raises(ValueError, match=r"matrix\[1\]\[2\]: entries must be finite"):
+        RegretMatrix(("a1", "a2", "a3"), entries)
