@@ -111,7 +111,7 @@ def solve_minimax(
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
-    return _minimax_impl(matrix, k, rng, label)
+    return _minimax_impl(matrix.entries, k, rng, label)
 
 
 def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None):
@@ -130,21 +130,21 @@ def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None)
 
 
 def _minimax_impl(
-    matrix: RegretMatrix, k: int, rng: np.random.Generator | None, label: str
+    entries: np.ndarray, k: int, rng: np.random.Generator | None, label: str
 ) -> BudgetSolution:
-    n = matrix.n
+    n = entries.shape[0]
     if k >= n:
         return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MINIMAX, 1, label)
     if rng is None:
         # Entries are finite, so the -inf diagonal sorts first in each row and
         # ascending place n - k holds the k-th largest regret against the others.
-        regrets = matrix.entries.copy()
+        regrets = entries.copy()
         np.fill_diagonal(regrets, NEG_INFINITY)
         kth = np.partition(regrets, n - k, axis=1)[:, n - k]
         i_star = int(np.argmin(kth))
-        top, best, drop = _row_top(matrix.entries[i_star].tolist(), i_star, k, None)
+        top, best, drop = _row_top(entries[i_star].tolist(), i_star, k, None)
     else:
-        rows = matrix.entries.tolist()
+        rows = entries.tolist()
         picks = [_row_top(rows[i], i, k, rng) for i in range(n)]
         best = min(threshold for _, threshold, _ in picks)
         i_star = _pick([i for i in range(n) if picks[i][1] == best], rng)
@@ -353,13 +353,27 @@ def solve_greedy(
     label, rng = _policy(tie_break, seed)
     base = _base_criterion(criterion)
     n = matrix.n
-    remaining = list(range(n))
     chosen: list[int] = []
-    for _ in range(min(k, n)):
-        sub = matrix.submatrix(remaining)
-        winner = _minimax_impl(sub, 1, rng, label).subset[0]
-        chosen.append(remaining[winner])
-        remaining.pop(winner)
+    if rng is None:
+        # One working copy for every round: a taken act is a -inf column, so
+        # it never challenges again, and gets a +inf worst regret, so it is
+        # never picked again. argmin takes the lowest index among equal
+        # worst regrets, as the single-pick solver does.
+        regrets = matrix.entries.copy()
+        np.fill_diagonal(regrets, NEG_INFINITY)
+        taken = np.zeros(n, dtype=bool)
+        for _ in range(min(k, n)):
+            worst = regrets.max(axis=1)
+            worst[taken] = np.inf
+            winner = int(np.argmin(worst))
+            chosen.append(winner)
+            taken[winner] = True
+            regrets[:, winner] = NEG_INFINITY
+    else:
+        remaining = list(range(n))
+        for _ in range(min(k, n)):
+            sub = matrix.entries[np.ix_(remaining, remaining)]
+            chosen.append(remaining.pop(_minimax_impl(sub, 1, rng, label).subset[0]))
     evaluator = minimax_regret if base is Criterion.MINIMAX else maximin_regret
     out_crit = (
         Criterion.GREEDY_MINIMAX if base is Criterion.MINIMAX else Criterion.GREEDY_MAXIMIN

@@ -10,6 +10,7 @@ maximum in vertex form, a small dense LP in constraint form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .errors import GuardExceededError, InfeasibleCredalError
 PMF_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-9
 ENUM_MAX_DIM = 12
+ENUM_MAX_BASES = 20_000  # C(rows + dimension, dimension - 1) row choices to solve
+ENUM_CHUNK = 256  # bases per batched solve: temporaries near 100 KiB at dimension 5
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -193,9 +196,13 @@ class CredalSet:
         """Vertices of the set.
 
         Vertex form returns the stored list. Constraint form enumerates basic
-        feasible points of {A p <= b, sum p = 1, p >= 0} by intersecting rows,
-        keeping feasible ones and dropping duplicates; guarded to dimensions
-        at most ENUM_MAX_DIM.
+        feasible points of {A p <= b, sum p = 1, p >= 0}: every choice of
+        dimension - 1 rows, taken ENUM_CHUNK at a time, is solved as one
+        batch together with sum p = 1; singular, non-finite, ill-conditioned
+        and infeasible points are dropped, and near-duplicates are dropped
+        in basis order. Raises GuardExceededError before enumerating when the
+        dimension exceeds ENUM_MAX_DIM or the number of row choices exceeds
+        ENUM_MAX_BASES.
         """
         if self._vertices is not None:
             return self._vertices
@@ -204,35 +211,40 @@ class CredalSet:
             raise GuardExceededError(
                 f"vertex enumeration limited to dimension {ENUM_MAX_DIM}, got {n}"
             )
-        rows = [np.asarray(r, dtype=float) for r in self._a_ub]
-        rhs = list(self._b_ub)
-        for i in range(n):  # p_i >= 0 as -p_i <= 0
-            unit = np.zeros(n)
-            unit[i] = -1.0
-            rows.append(unit)
-            rhs.append(0.0)
+        nonneg = np.zeros((n, n))  # p_i >= 0 as -p_i <= 0; built so zeros stay +0.0
+        np.fill_diagonal(nonneg, -1.0)
+        rows = np.vstack([self._a_ub, nonneg])
+        rhs = np.concatenate([self._b_ub, np.zeros(n)])
+        bases = math.comb(len(rows), n - 1)
+        if bases > ENUM_MAX_BASES:
+            raise GuardExceededError(
+                f"vertex enumeration limited to {ENUM_MAX_BASES} bases, got {bases}"
+            )
 
         found: list[np.ndarray] = []
-        ones = np.ones(n)
-        for active in itertools.combinations(range(len(rows)), n - 1):
-            system = np.vstack([ones] + [rows[r] for r in active])
-            target = np.array([1.0] + [rhs[r] for r in active])
-            try:
-                point = np.linalg.solve(system, target)
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(point)):
-                continue
-            if np.max(np.abs(system @ point - target)) > 1e-7:  # ill-conditioned basis
-                continue
-            if np.min(point) < -PMF_TOL:
-                continue
-            residual = self._a_ub @ point - self._b_ub if len(self._b_ub) else np.zeros(0)
-            if residual.size and np.max(residual) > PMF_TOL:
-                continue
-            if any(np.max(np.abs(point - seen)) <= VERTEX_DEDUP_TOL for seen in found):
-                continue
-            found.append(point)
+        combos = itertools.combinations(range(len(rows)), n - 1)
+        while chunk := list(itertools.islice(combos, ENUM_CHUNK)):
+            active = np.array(chunk, dtype=np.intp).reshape(len(chunk), n - 1)
+            systems = np.ones((len(chunk), n, n))
+            systems[:, 1:] = rows[active]
+            targets = np.ones((len(chunk), n))
+            targets[:, 1:] = rhs[active]
+            # slogdet's sign is 0 exactly when LU finds a zero pivot, which is
+            # when solve would raise LinAlgError for that basis
+            regular = np.linalg.slogdet(systems)[0] != 0.0
+            systems, targets = systems[regular], targets[regular]
+            points = np.linalg.solve(systems, targets[..., None])[..., 0]
+            finite = np.isfinite(points).all(axis=1)
+            systems, targets, points = systems[finite], targets[finite], points[finite]
+            solved = np.abs((systems @ points[..., None])[..., 0] - targets).max(axis=1)
+            keep = solved <= 1e-7  # a larger residual means an ill-conditioned basis
+            keep &= points.min(axis=1) >= -PMF_TOL
+            if len(self._b_ub):
+                keep &= (points @ self._a_ub.T - self._b_ub).max(axis=1) <= PMF_TOL
+            for point in points[keep]:  # in basis order, so the first of near-duplicates stays
+                gap = np.abs(np.asarray(found) - point).max(axis=1).min() if found else np.inf
+                if gap > VERTEX_DEDUP_TOL:
+                    found.append(point)
         if not found:
             raise InfeasibleCredalError("credal.constraints: polytope has no vertices")
         out = np.array(found)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .credal import Act, CredalSet
+from .errors import GuardExceededError
 
 NEG_INFINITY = float("-inf")
 
@@ -54,11 +55,6 @@ class RegretMatrix:
         mask = ~np.eye(self.n, dtype=bool)
         return self.entries[mask]
 
-    def submatrix(self, indices) -> "RegretMatrix":
-        idx = list(indices)
-        sub = self.entries[np.ix_(idx, idx)]  # fancy indexing already copies
-        return RegretMatrix(tuple(self.names[i] for i in idx), sub)
-
 
 def pairwise_regret_from_vertices(vertices: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     """Vectorized entries[i, j] = max over vertices of E_v(a_j) - E_v(a_i).
@@ -83,27 +79,36 @@ def pairwise_regret_from_vertices(vertices: np.ndarray, payoffs: np.ndarray) -> 
 def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     """Compute all pairwise regrets for the acts under the credal set.
 
-    Vertex-form credal sets use one vectorized pass. Constraint-form sets
-    solve one LP per ordered pair.
+    Vertex-form credal sets use one vectorized pass over their vertices.
+    Constraint-form sets are enumerated once (`CredalSet.extreme_points`)
+    and then take the same pass; when the enumeration guard refuses the
+    polytope (dimension over ENUM_MAX_DIM or more than ENUM_MAX_BASES
+    bases), one LP is solved per ordered pair instead. The two routes agree
+    to rounding (about 1e-14), not bit for bit.
     """
     if len(acts) == 0:
         raise ValueError("acts: at least one act is required")
     dims = {len(a.payoffs) for a in acts}
     if len(dims) != 1:
         raise ValueError("acts: payoff vectors must share one dimension")
+    if dims != {credal.dimension}:
+        raise ValueError(
+            f"acts: {dims.pop()} payoffs per act, but the credal set has {credal.dimension} states"
+        )
     names = tuple(a.name for a in acts)
     payoffs = np.array([a.payoffs for a in acts], dtype=float)
 
-    if credal.is_vertex_form:
-        return RegretMatrix(names, pairwise_regret_from_vertices(credal.vertices, payoffs))
-
-    n = len(acts)
-    entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
-    return RegretMatrix(names, entries)
+    try:
+        vertices = credal.extreme_points()
+    except GuardExceededError:
+        n = len(acts)
+        entries = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
+        return RegretMatrix(names, entries)
+    return RegretMatrix(names, pairwise_regret_from_vertices(vertices, payoffs))
 
 
 def worst_regret(matrix: RegretMatrix, i: int, others) -> float:

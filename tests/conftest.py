@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from credalbudget.credal import LinearConstraint
 from credalbudget.gen import GenConfig, generate_instance
 from credalbudget.instances import builtin_instances
 from credalbudget.problemio import problem_from_dict
@@ -40,3 +41,12 @@ def random_subset(rng: np.random.Generator, n: int, *, proper: bool = False) -> 
     hi = n - 1 if proper else n
     size = int(rng.integers(1, max(hi, 1) + 1))
     return tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+
+
+def interval_rows(n: int, lo: float, hi: float) -> list[LinearConstraint]:
+    """Bounds lo <= p_s <= hi on each of n states."""
+    rows = []
+    for s in range(n):
+        unit = tuple(1.0 if t == s else 0.0 for t in range(n))
+        rows += [LinearConstraint(unit, ">=", lo), LinearConstraint(unit, "<=", hi)]
+    return rows

@@ -1,13 +1,20 @@
-"""Frozen loop versions of the minimax core and the vertex-form regret build.
+"""Frozen loop versions of the minimax core and of both regret builds.
 
-These are the per-row sorting minimax and the (V, n, n) broadcast regret
-build as they stood before both were vectorised. The differential tests
-compare the library against them; do not change them to match the library.
+These are the per-row sorting minimax, the (V, n, n) broadcast regret
+build, the per-basis vertex enumeration and the one-LP-per-pair
+constraint-form build as they stood before each was vectorised. The
+differential tests compare the library against them; do not change them to
+match the library.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+PMF_TOL = 1e-9
+VERTEX_DEDUP_TOL = 1e-9
 
 
 def _pick(candidates, rng):
@@ -60,4 +67,52 @@ def pairwise_regret_reference(vertices: np.ndarray, payoffs: np.ndarray) -> np.n
     diff = ev[:, None, :] - ev[:, :, None]
     entries = diff.max(axis=0)
     np.fill_diagonal(entries, 0.0)
+    return entries
+
+
+def extreme_points_reference(a_ub: np.ndarray, b_ub: np.ndarray, n: int) -> np.ndarray:
+    """Vertices of {a_ub p <= b_ub, sum p = 1, p >= 0}, one basis at a time.
+
+    Returns an empty (0, n) array where the enumeration finds no vertex.
+    """
+    rows = [np.asarray(r, dtype=float) for r in a_ub]
+    rhs = list(b_ub)
+    for i in range(n):  # p_i >= 0 as -p_i <= 0
+        unit = np.zeros(n)
+        unit[i] = -1.0
+        rows.append(unit)
+        rhs.append(0.0)
+
+    found: list[np.ndarray] = []
+    ones = np.ones(n)
+    for active in itertools.combinations(range(len(rows)), n - 1):
+        system = np.vstack([ones] + [rows[r] for r in active])
+        target = np.array([1.0] + [rhs[r] for r in active])
+        try:
+            point = np.linalg.solve(system, target)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(point)):
+            continue
+        if np.max(np.abs(system @ point - target)) > 1e-7:  # ill-conditioned basis
+            continue
+        if np.min(point) < -PMF_TOL:
+            continue
+        residual = a_ub @ point - b_ub if len(b_ub) else np.zeros(0)
+        if residual.size and np.max(residual) > PMF_TOL:
+            continue
+        if any(np.max(np.abs(point - seen)) <= VERTEX_DEDUP_TOL for seen in found):
+            continue
+        found.append(point)
+    return np.array(found).reshape(-1, n)
+
+
+def regret_matrix_lp_reference(payoffs: np.ndarray, credal) -> np.ndarray:
+    """entries[i, j] = upper expectation of payoff_j - payoff_i, one LP per pair."""
+    n = payoffs.shape[0]
+    entries = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
     return entries

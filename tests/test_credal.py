@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from conftest import interval_rows
 
 from credalbudget.credal import Act, CredalSet, LinearConstraint, StateSpace
 from credalbudget.errors import GuardExceededError, InfeasibleCredalError
@@ -83,6 +86,15 @@ def test_enumeration_guard():
     credal = CredalSet.from_constraints([row], n)
     with pytest.raises(GuardExceededError):
         credal.extreme_points()
+
+
+def test_enumeration_basis_guard_is_immediate():
+    # 12 states, 24 bound rows: C(36, 11), about 6e8 bases, under the dimension limit
+    credal = CredalSet.from_constraints(interval_rows(12, 0.02, 0.15), 12)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceededError, match="bases"):
+        credal.extreme_points()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_infeasible_constraints_rejected_at_load():

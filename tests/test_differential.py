@@ -1,22 +1,35 @@
-"""The vectorised minimax core and regret build against their frozen loop versions.
+"""The vectorised minimax core and regret builds against their frozen loop versions.
 
-Subsets, values (by repr, so a signed zero counts) and the vertex-form
-matrix bytes must match exactly, ties included.
+Subsets, values (by repr, so a signed zero counts), the vertex-form matrix
+bytes and the enumerated vertex bytes must match exactly, ties included.
+Constraint-form matrices, which now come from the enumerated vertices rather
+than from one LP per pair, must match the LP loop within 1e-9.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from reference_solvers import greedy_reference, minimax_reference, pairwise_regret_reference
+from reference_solvers import (
+    extreme_points_reference,
+    greedy_reference,
+    minimax_reference,
+    pairwise_regret_reference,
+    regret_matrix_lp_reference,
+)
 
-from credalbudget.budget import solve_greedy, solve_minimax
+from credalbudget.budget import Criterion, oracle_solve, solve_greedy, solve_minimax
+from credalbudget.credal import ENUM_MAX_BASES, Act, CredalSet, LinearConstraint
+from credalbudget.errors import InfeasibleCredalError
 from credalbudget.gen import sample_simplex
 from credalbudget.regret import (
     RegretMatrix,
+    maximal_acts,
     maximin_regret,
     minimax_regret,
     pairwise_regret_from_vertices,
+    regret_matrix,
 )
 
 
@@ -89,3 +102,118 @@ def test_vertex_build_memory_is_quadratic_in_acts():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # a (vertices, acts, acts) temporary would be ~100 MiB
+
+
+POLYTOPE_KINDS = ("interval", "general", "redundant", "single")
+
+
+def random_rows(rng: np.random.Generator, kind: str, d: int) -> list[LinearConstraint]:
+    """Constraint rows of one kind, all satisfied by a pmf on a 0.1 grid.
+
+    The grid point and small-integer coefficients put several rows through
+    the same points, so degenerate vertices are common.
+    """
+    center = rng.multinomial(10, np.ones(d) / d) / 10.0
+    units = [tuple(1.0 if t == s else 0.0 for t in range(d)) for s in range(d)]
+    if kind == "interval":
+        rows = []
+        for s in rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False):
+            lo = max(0.0, center[s] - 0.1 * int(rng.integers(0, 3)))
+            hi = center[s] + 0.1 * int(rng.integers(0, 3))
+            rows += [LinearConstraint(units[s], ">=", lo), LinearConstraint(units[s], "<=", hi)]
+        return rows
+    if kind == "single":  # p >= center everywhere leaves center alone
+        return [LinearConstraint(units[s], ">=", float(center[s])) for s in range(d)]
+    rows = []
+    for _ in range(int(rng.integers(1, 5))):
+        coeffs = rng.integers(-3, 4, size=d).astype(float)
+        level = float(coeffs @ center)
+        relation = str(rng.choice(["<=", ">=", "="], p=[0.45, 0.45, 0.1]))
+        slack = 0.1 * int(rng.integers(0, 3))
+        rhs = level + slack if relation == "<=" else level - slack if relation == ">=" else level
+        rows.append(LinearConstraint(tuple(coeffs), relation, rhs))
+    if kind == "redundant":
+        first = rows[0]
+        doubled = tuple(2.0 * np.array(first.coeffs))
+        rows += [first, LinearConstraint(doubled, first.relation, 2.0 * first.rhs)]
+        # rows that every pmf meets, touching the simplex at a corner only
+        coeffs = rng.integers(-3, 4, size=d).astype(float)
+        rows.append(LinearConstraint(tuple(coeffs), "<=", float(coeffs.max())))
+        rows.append(LinearConstraint(tuple(coeffs), ">=", float(coeffs.min())))
+    return rows
+
+
+def random_polytope(rng: np.random.Generator, kind: str, max_bases: int = 4000) -> CredalSet:
+    """A constraint-form set of dimension 2-8 with at most max_bases row choices."""
+    while True:
+        d = int(rng.integers(2, 9))
+        credal = CredalSet.from_constraints(random_rows(rng, kind, d), d)
+        if math.comb(len(credal._a_ub) + d, d - 1) <= max_bases:
+            return credal
+
+
+def reference_vertices(credal: CredalSet) -> np.ndarray:
+    return extreme_points_reference(credal._a_ub, credal._b_ub, credal.dimension)
+
+
+@pytest.mark.parametrize("kind", POLYTOPE_KINDS)
+def test_batched_enumeration_matches_loop(kind):
+    rng = np.random.default_rng(POLYTOPE_KINDS.index(kind))
+    vertex_counts = set()
+    for _ in range(60):
+        credal = random_polytope(rng, kind)
+        want = reference_vertices(credal)
+        if len(want) == 0:
+            with pytest.raises(InfeasibleCredalError):
+                credal.extreme_points()
+            continue
+        got = credal.extreme_points()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        vertex_counts.add(len(got))
+
+        n_acts = int(rng.integers(2, 8))
+        payoffs = rng.integers(0, 101, size=(n_acts, credal.dimension)).astype(float)
+        acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
+        matrix = regret_matrix(acts, credal)
+        lp = RegretMatrix(matrix.names, regret_matrix_lp_reference(payoffs, credal))
+        assert np.max(np.abs(matrix.entries - lp.entries)) <= 1e-9
+        assert maximal_acts(matrix) == maximal_acts(lp)
+    if kind == "single":
+        assert vertex_counts == {1}
+    else:
+        assert len(vertex_counts) > 3
+
+
+def test_enumeration_spans_many_chunks():
+    # 8 states, each p_s <= 0.3: C(16, 7) = 11440 bases in 45 chunks, under the guard
+    units = [tuple(1.0 if t == s else 0.0 for t in range(8)) for s in range(8)]
+    credal = CredalSet.from_constraints([LinearConstraint(u, "<=", 0.3) for u in units], 8)
+    assert math.comb(16, 7) <= ENUM_MAX_BASES
+    assert credal.extreme_points().tobytes() == reference_vertices(credal).tobytes()
+
+
+def test_finance_oracle_unchanged(problems, matrices):
+    finance, problem = matrices["finance"], problems["finance"]
+    payoffs = np.array([a.payoffs for a in problem.acts], dtype=float)
+    lp = RegretMatrix(finance.names, regret_matrix_lp_reference(payoffs, problem.credal))
+    assert np.max(np.abs(finance.entries - lp.entries)) <= 1e-9
+    for k in range(1, finance.n + 1):
+        for criterion in (Criterion.MINIMAX, Criterion.MAXIMIN):
+            got, want = oracle_solve(finance, k, criterion), oracle_solve(lp, k, criterion)
+            assert (got.subset, got.tie_count) == (want.subset, want.tie_count)
+            assert got.value == pytest.approx(want.value, abs=1e-9)
+
+
+def test_constraint_build_memory_is_chunked(problems):
+    credal = problems["finance"].credal
+    rng = np.random.default_rng(0)
+    acts = [Act(f"a{i}", tuple(map(float, rng.integers(0, 101, size=5)))) for i in range(12)]
+    regret_matrix(acts, credal)  # let numpy finish its lazy set-up
+    tracemalloc.start()
+    try:
+        regret_matrix(acts, credal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10  # all 1365 bases in one batch would peak near 530 KiB

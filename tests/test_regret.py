@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from conftest import interval_rows
+from reference_solvers import regret_matrix_lp_reference
 
 from credalbudget.credal import Act, CredalSet
 from credalbudget.regret import (
@@ -33,6 +35,25 @@ def test_finance_spot_entries(matrices):
     # display row 1 col 2 and row 4 col 8 of the printed table
     assert display_rows(matrix)[0, 1] == pytest.approx(11.65, abs=5e-3)
     assert display_rows(matrix)[3, 7] == pytest.approx(-11.2, abs=5e-3)
+
+
+@pytest.mark.parametrize("n_states", [12, 14])
+def test_guarded_polytopes_take_the_lp_path(n_states):
+    # over ENUM_MAX_BASES (12 states) or ENUM_MAX_DIM (14 states)
+    credal = CredalSet.from_constraints(interval_rows(n_states, 0.02, 0.15), n_states)
+    rng = np.random.default_rng(n_states)
+    payoffs = rng.integers(0, 101, size=(6, n_states)).astype(float)
+    acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
+    got = regret_matrix(acts, credal).entries
+    assert got.tobytes() == regret_matrix_lp_reference(payoffs, credal).tobytes()
+
+
+def test_payoff_length_must_match_credal_dimension():
+    acts = [Act("a1", (1.0, 2.0)), Act("a2", (2.0, 1.0))]
+    box = CredalSet.from_constraints(interval_rows(3, 0.1, 0.5), 3)
+    for credal in (box, CredalSet.from_vertices([[0.2, 0.3, 0.5]])):
+        with pytest.raises(ValueError, match="credal set has 3 states"):
+            regret_matrix(acts, credal)
 
 
 def test_duplicate_acts_have_zero_regret():
