@@ -9,8 +9,9 @@ Two protocols over generated instances:
   passes the maximality count, and how often the two criteria agree.
 
 Per-trial seeds derive from the master seed up front, so results do not
-depend on evaluation order and every aggregate is reproducible from the
-per-trial CSV alone.
+depend on evaluation order. Each aggregate takes the per-trial rows as its
+only input, either as built by `*_record_rows` or as read back from the
+per-trial CSV by `read_csv`, and gives the same table from both.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ class TrialRecord:
     overlap_dm: dict[str, float]
     exact_equals_greedy: dict[str, bool]
     greedy_overlap: dict[str, float]
-    minimax_value: float
-    maximin_value: float
 
 
 @dataclass(frozen=True)
@@ -128,44 +127,9 @@ def run_consistency_trials(
                         )
                         for pair in PAIRS
                     },
-                    minimax_value=solutions["exact_minimax"].value,
-                    maximin_value=solutions["exact_maximin"].value,
                 )
             )
     return records
-
-
-def consistency_aggregate(records: list[TrialRecord]) -> list[dict]:
-    """Per (rule, k) percentage summary across trials."""
-    ks = sorted({r.k for r in records})
-    rows: list[dict] = []
-    for rule in RULES:
-        pair = rule.split("_", 1)[1]
-        for k in ks:
-            bucket = [r for r in records if r.k == k]
-            count = len(bucket)
-            row = {
-                "rule": rule,
-                "k": k,
-                "trials": count,
-                "weak_pct": round(100.0 * sum(r.weak[rule] for r in bucket) / count, 3),
-                "strong_pct": round(100.0 * sum(r.strong[rule] for r in bucket) / count, 3),
-                "dm_overlap_pct": round(
-                    100.0 * sum(r.overlap_dm[rule] for r in bucket) / count, 3
-                ),
-            }
-            if rule.startswith("greedy"):
-                row["exact_equals_greedy_pct"] = round(
-                    100.0 * sum(r.exact_equals_greedy[pair] for r in bucket) / count, 3
-                )
-                row["greedy_overlap_pct"] = round(
-                    100.0 * sum(r.greedy_overlap[pair] for r in bucket) / count, 3
-                )
-            else:
-                row["exact_equals_greedy_pct"] = ""
-                row["greedy_overlap_pct"] = ""
-            rows.append(row)
-    return rows
 
 
 def run_negativity_trials(
@@ -214,32 +178,6 @@ def run_negativity_trials(
     return records
 
 
-def negativity_aggregate(records: list[NegativityRecord]) -> list[dict]:
-    """Per (dm_size, k) percentage summary across trials."""
-    rows: list[dict] = []
-    keys = sorted({(r.dm_size, r.k) for r in records})
-    for dm_size, k in keys:
-        bucket = [r for r in records if r.dm_size == dm_size and r.k == k]
-        count = len(bucket)
-        rows.append(
-            {
-                "dm_size": dm_size,
-                "k": k,
-                "trials": count,
-                "minimax_negative_pct": round(
-                    100.0 * sum(r.minimax_negative for r in bucket) / count, 3
-                ),
-                "maximin_negative_pct": round(
-                    100.0 * sum(r.maximin_negative for r in bucket) / count, 3
-                ),
-                "values_equal_pct": round(
-                    100.0 * sum(r.values_equal for r in bucket) / count, 3
-                ),
-            }
-        )
-    return rows
-
-
 def _subset_cell(subset: tuple[int, ...]) -> str:
     return " ".join(str(i) for i in subset)
 
@@ -252,8 +190,8 @@ def consistency_record_rows(records: list[TrialRecord]) -> list[dict]:
             "seed": r.seed,
             "k": r.k,
             "dm_size": r.dm_size,
-            "minimax_value": repr(r.minimax_value),
-            "maximin_value": repr(r.maximin_value),
+            "minimax_value": repr(r.values["exact_minimax"]),
+            "maximin_value": repr(r.values["exact_maximin"]),
         }
         for rule in RULES:
             row[f"{rule}_subset"] = _subset_cell(r.subsets[rule])
@@ -301,67 +239,38 @@ def read_csv(path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
-def consistency_aggregate_from_rows(rows: list[dict]) -> list[dict]:
-    """Recompute the aggregate from per-trial CSV rows; matches exactly."""
-    ks = sorted({int(r["k"]) for r in rows})
+def _pct(bucket: list[dict], column: str) -> float:
+    """Percentage mean of a 0/1 or fraction column over the bucket's rows.
+
+    Typed rows and rows read back from CSV give the same result: 0/1 cells
+    sum exactly as floats, and `csv` writes floats with repr.
+    """
+    return round(100.0 * sum(float(r[column]) for r in bucket) / len(bucket), 3)
+
+
+def consistency_aggregate(rows: list[dict]) -> list[dict]:
+    """Per (rule, k) percentage summary of the consistency trial rows."""
     out: list[dict] = []
     for rule in RULES:
-        pair = rule.split("_", 1)[1]
-        for k in ks:
+        kind, pair = rule.split("_", 1)
+        for k in sorted({int(r["k"]) for r in rows}):
             bucket = [r for r in rows if int(r["k"]) == k]
-            count = len(bucket)
-            row = {
-                "rule": rule,
-                "k": k,
-                "trials": count,
-                "weak_pct": round(
-                    100.0 * sum(int(r[f"{rule}_weak"]) for r in bucket) / count, 3
-                ),
-                "strong_pct": round(
-                    100.0 * sum(int(r[f"{rule}_strong"]) for r in bucket) / count, 3
-                ),
-                "dm_overlap_pct": round(
-                    100.0 * sum(float(r[f"{rule}_dm_overlap"]) for r in bucket) / count, 3
-                ),
-            }
-            if rule.startswith("greedy"):
-                row["exact_equals_greedy_pct"] = round(
-                    100.0
-                    * sum(int(r[f"{pair}_exact_equals_greedy"]) for r in bucket)
-                    / count,
-                    3,
-                )
-                row["greedy_overlap_pct"] = round(
-                    100.0 * sum(float(r[f"{pair}_greedy_overlap"]) for r in bucket) / count,
-                    3,
-                )
-            else:
-                row["exact_equals_greedy_pct"] = ""
-                row["greedy_overlap_pct"] = ""
+            row: dict = {"rule": rule, "k": k, "trials": len(bucket)}
+            for name in ("weak", "strong", "dm_overlap"):
+                row[f"{name}_pct"] = _pct(bucket, f"{rule}_{name}")
+            for name in ("exact_equals_greedy", "greedy_overlap"):
+                row[f"{name}_pct"] = _pct(bucket, f"{pair}_{name}") if kind == "greedy" else ""
             out.append(row)
     return out
 
 
-def negativity_aggregate_from_rows(rows: list[dict]) -> list[dict]:
-    keys = sorted({(int(r["dm_size"]), int(r["k"])) for r in rows})
+def negativity_aggregate(rows: list[dict]) -> list[dict]:
+    """Per (dm_size, k) percentage summary of the negativity trial rows."""
     out: list[dict] = []
-    for dm_size, k in keys:
-        bucket = [r for r in rows if int(r["dm_size"]) == dm_size and int(r["k"]) == k]
-        count = len(bucket)
-        out.append(
-            {
-                "dm_size": dm_size,
-                "k": k,
-                "trials": count,
-                "minimax_negative_pct": round(
-                    100.0 * sum(int(r["minimax_negative"]) for r in bucket) / count, 3
-                ),
-                "maximin_negative_pct": round(
-                    100.0 * sum(int(r["maximin_negative"]) for r in bucket) / count, 3
-                ),
-                "values_equal_pct": round(
-                    100.0 * sum(int(r["values_equal"]) for r in bucket) / count, 3
-                ),
-            }
-        )
+    for dm_size, k in sorted({(int(r["dm_size"]), int(r["k"])) for r in rows}):
+        bucket = [r for r in rows if (int(r["dm_size"]), int(r["k"])) == (dm_size, k)]
+        row: dict = {"dm_size": dm_size, "k": k, "trials": len(bucket)}
+        for name in ("minimax_negative", "maximin_negative", "values_equal"):
+            row[f"{name}_pct"] = _pct(bucket, name)
+        out.append(row)
     return out

@@ -451,11 +451,13 @@ def oracle_optima(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> 
 def domination_graph_dot(matrix: RegretMatrix, alpha: float, *, tol: float = COVER_TOL) -> str:
     """DOT digraph with an edge i -> j when act i answers challenger j at alpha."""
     covers = cover_family(matrix, alpha, tol=tol)
+    # quoted DOT IDs; escaping \ and " keeps a name from ending its string early
+    ids = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in matrix.names]
     lines = ["digraph domination {", f'  label="alpha = {alpha:g}";']
-    for name in matrix.names:
-        lines.append(f'  "{name}";')
+    for node in ids:
+        lines.append(f"  {node};")
     for i in range(matrix.n):
         for j in sorted(covers.sets[i]):
-            lines.append(f'  "{matrix.names[i]}" -> "{matrix.names[j]}";')
+            lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

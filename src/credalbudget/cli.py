@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -257,6 +258,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    if not math.isfinite(args.alpha):
+        raise ProblemFormatError(f"--alpha: must be finite, got {args.alpha}")
     matrix = load_problem(args.problem).regret_matrix()
     dot = domination_graph_dot(matrix, args.alpha)
     if args.output:
@@ -267,9 +270,23 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        values = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ProblemFormatError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    if not values:
+        raise ProblemFormatError(f"{flag}: expected at least one integer, got {text!r}")
+    return values
+
+
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     if args.protocol == "consistency":
+        if not 1 <= args.k_min <= args.k_max:
+            raise ProblemFormatError(
+                f"--k-min: need 1 <= --k-min <= --k-max, got {args.k_min} and {args.k_max}"
+            )
         trials = 100 if args.trials is None else args.trials
         config = GenConfig(
             n_acts=args.acts,
@@ -280,17 +297,23 @@ def _cmd_experiment(args) -> int:
         )
         records = run_consistency_trials(trials, config, range(args.k_min, args.k_max + 1), args.seed)
         trial_rows = consistency_record_rows(records)
-        agg_rows = consistency_aggregate(records)
+        agg_rows = consistency_aggregate(trial_rows)
     else:
         trials = 50 if args.trials is None else args.trials
-        dm_sizes = [int(x) for x in args.dm_sizes.split(",") if x]
-        offsets = [int(x) for x in args.offsets.split(",") if x]
+        dm_sizes = _int_list(args.dm_sizes, "--dm-sizes")
+        offsets = _int_list(args.offsets, "--offsets")
+        if not all(1 <= d <= args.acts for d in dm_sizes):
+            raise ProblemFormatError(f"--dm-sizes: each must lie in [1, --acts {args.acts}]")
+        if min(dm_sizes) + min(offsets) < 1:
+            raise ProblemFormatError(
+                f"--offsets: budget {min(dm_sizes)} + {min(offsets)} is below 1"
+            )
         records = run_negativity_trials(
             trials, dm_sizes, offsets, args.seed,
             n_acts=args.acts, n_states=args.states, n_vertices=args.vertices,
         )
         trial_rows = negativity_record_rows(records)
-        agg_rows = negativity_aggregate(records)
+        agg_rows = negativity_aggregate(trial_rows)
     trials_path = out_dir / f"{args.protocol}_trials.csv"
     agg_path = out_dir / f"{args.protocol}_aggregate.csv"
     write_csv(trials_path, trial_rows)

@@ -1,10 +1,11 @@
-"""Frozen loop versions of the minimax core and of both regret builds.
+"""Frozen versions of the subset solvers and of both regret builds.
 
 These are the per-row sorting minimax, the (V, n, n) broadcast regret
 build, the per-basis vertex enumeration and the one-LP-per-pair
-constraint-form build as they stood before each was vectorised. The
-differential tests compare the library against them; do not change them to
-match the library.
+constraint-form build as they stood before each was vectorised, and the
+maximin level scan (COVER_TOL covers, the exact-cover repair window and
+both DFS walkers) as it stands before its rewrite. The differential tests
+compare the library against them; do not change them to match the library.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 PMF_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-9
+COVER_TOL = 1e-12
 
 
 def _pick(candidates, rng):
@@ -116,3 +118,150 @@ def regret_matrix_lp_reference(payoffs: np.ndarray, credal) -> np.ndarray:
             if i != j:
                 entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
     return entries
+
+
+def _maximin_value(entries: np.ndarray, subset) -> float:
+    """max over j outside of min over i in subset of entries[i, j]."""
+    chosen = sorted(set(subset))
+    complement = [j for j in range(entries.shape[0]) if j not in set(chosen)]
+    if not complement:
+        return float("-inf")
+    return float(entries[np.ix_(chosen, complement)].min(axis=0).max())
+
+
+def _cover_sets(entries: np.ndarray, alpha: float, tol: float) -> tuple[frozenset, ...]:
+    n = entries.shape[0]
+    return tuple(
+        frozenset(j for j in range(n) if j != i and entries[i, j] <= alpha + tol)
+        for i in range(n)
+    )
+
+
+def _cover_masks(sets, n: int) -> list[int]:
+    masks = []
+    for i in range(n):
+        mask = 1 << i
+        for j in sets[i]:
+            mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+def _reachability(sets, k: int, n: int):
+    """Size bound, then a greedy pass, then the lexicographic DFS."""
+    if k == n:
+        return tuple(range(n))
+    sizes = sorted((len(s) for s in sets), reverse=True)
+    if k + sum(sizes[:k]) < n:
+        return None
+    masks = _cover_masks(sets, n)
+    full = (1 << n) - 1
+    covered = 0
+    chosen: list[int] = []
+    for _ in range(k):
+        gains = [
+            ((masks[i] & ~covered & full).bit_count(), -i)
+            for i in range(n)
+            if i not in chosen
+        ]
+        best_gain, neg_i = max(gains)
+        if best_gain == 0:
+            break
+        chosen.append(-neg_i)
+        covered |= masks[-neg_i]
+        if covered == full:
+            spare = (i for i in range(n) if i not in chosen)
+            while len(chosen) < k:
+                chosen.append(next(spare))
+            return tuple(sorted(chosen))
+    return _dfs_first(masks, k, n, full)
+
+
+def _dfs_first(masks: list[int], k: int, n: int, full: int):
+    """Lexicographically first satisfying k-subset, or None."""
+
+    def walk(start: int, depth: int, covered: int, prefix: list[int]):
+        remaining = k - depth
+        if covered == full:
+            return tuple(prefix + list(range(start, start + remaining)))
+        if remaining == 0:
+            return None
+        missing = (~covered) & full
+        best_gain = 0
+        for i in range(start, n):
+            gain = (masks[i] & missing).bit_count()
+            if gain > best_gain:
+                best_gain = gain
+        if best_gain * remaining < missing.bit_count():
+            return None
+        for i in range(start, n - remaining + 1):
+            prefix.append(i)
+            hit = walk(i + 1, depth + 1, covered | masks[i], prefix)
+            if hit is not None:
+                return hit
+            prefix.pop()
+        return None
+
+    return walk(0, 0, 0, [])
+
+
+def _collect_satisfying(masks: list[int], k: int, n: int, full: int) -> list[tuple[int, ...]]:
+    """Every satisfying k-subset."""
+    hits: list[tuple[int, ...]] = []
+
+    def walk(start: int, depth: int, covered: int, prefix: list[int]) -> None:
+        remaining = k - depth
+        if remaining == 0:
+            if covered == full:
+                hits.append(tuple(prefix))
+            return
+        missing = (~covered) & full
+        if missing:
+            best_gain = max(
+                ((masks[i] & missing).bit_count() for i in range(start, n)), default=0
+            )
+            if best_gain * remaining < missing.bit_count():
+                return
+        for i in range(start, n - remaining + 1):
+            prefix.append(i)
+            walk(i + 1, depth + 1, covered | masks[i], prefix)
+            prefix.pop()
+
+    walk(0, 0, 0, [])
+    return hits
+
+
+def maximin_reference(entries: np.ndarray, k: int, rng) -> tuple[tuple[int, ...], float]:
+    """(subset, value) of the maximin level scan, lex (rng None) or seeded."""
+    n = entries.shape[0]
+    if k >= n:
+        return tuple(range(n)), float("-inf")
+    values = np.sort(entries[~np.eye(n, dtype=bool)])
+    idx = n - k - 1
+    previous = None
+    while idx < values.size:
+        alpha = float(values[idx])
+        idx += 1
+        if previous is not None and alpha == previous:
+            continue
+        previous = alpha
+        sets = _cover_sets(entries, alpha, COVER_TOL)
+        found = _reachability(sets, k, n)
+        if found is None:
+            continue
+        value = _maximin_value(entries, found)
+        if value != alpha:
+            for mid in np.unique(values[(values >= alpha) & (values <= value)]):
+                exact = _reachability(_cover_sets(entries, float(mid), 0.0), k, n)
+                if exact is not None:
+                    found = exact
+                    value = _maximin_value(entries, found)
+                    sets = _cover_sets(entries, float(mid), 0.0)
+                    break
+        if rng is not None:
+            masks = _cover_masks(sets, n)
+            options = _collect_satisfying(masks, k, n, (1 << n) - 1)
+            best = [T for T in options if _maximin_value(entries, T) == value]
+            found = best[int(rng.integers(len(best)))]
+        return tuple(found), value
+    raise RuntimeError("maximin level scan found no reachable value")

@@ -2,10 +2,8 @@ import pytest
 
 from credalbudget.bench import (
     consistency_aggregate,
-    consistency_aggregate_from_rows,
     consistency_record_rows,
     negativity_aggregate,
-    negativity_aggregate_from_rows,
     negativity_record_rows,
     read_csv,
     run_consistency_trials,
@@ -37,7 +35,7 @@ def test_records_shape(small_run):
         for rule, subset in record.subsets.items():
             assert len(subset) == record.k
             assert record.values[rule] == pytest.approx(record.values[rule])
-        assert record.minimax_value >= record.maximin_value
+        assert record.values["exact_minimax"] >= record.values["exact_maximin"]
 
 
 def test_structural_invariants(small_run):
@@ -56,7 +54,7 @@ def test_structural_invariants(small_run):
 
 def test_single_trial_percentages_are_zero_or_hundred():
     records = run_consistency_trials(1, SMALL, range(2, 4), master_seed=3)
-    for row in consistency_aggregate(records):
+    for row in consistency_aggregate(consistency_record_rows(records)):
         for key in ("weak_pct", "strong_pct"):
             assert row[key] in (0.0, 100.0)
 
@@ -65,8 +63,8 @@ def test_aggregate_matches_recomputation_from_csv(tmp_path, small_run):
     rows = consistency_record_rows(small_run)
     path = tmp_path / "trials.csv"
     write_csv(path, rows)
-    again = consistency_aggregate_from_rows(read_csv(path))
-    assert again == consistency_aggregate(small_run)
+    again = consistency_aggregate(read_csv(path))
+    assert again == consistency_aggregate(rows)
 
 
 def test_negativity_protocol(tmp_path):
@@ -84,8 +82,8 @@ def test_negativity_protocol(tmp_path):
     rows = negativity_record_rows(records)
     path = tmp_path / "neg.csv"
     write_csv(path, rows)
-    assert negativity_aggregate_from_rows(read_csv(path)) == negativity_aggregate(records)
-    for row in negativity_aggregate(records):
+    assert negativity_aggregate(read_csv(path)) == negativity_aggregate(rows)
+    for row in negativity_aggregate(rows):
         assert row["maximin_negative_pct"] == 100.0
 
 

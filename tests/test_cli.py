@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from credalbudget.bench import consistency_aggregate, negativity_aggregate, read_csv, write_csv
 from credalbudget.cli import main
 from credalbudget.instances import builtin_instances
 
@@ -57,6 +59,34 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
     )
     assert code == 1
     assert "target_dm" in err
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--protocol", "consistency", "--k-min", "5", "--k-max", "3"], "--k-min"),
+        (["--protocol", "consistency", "--k-min", "0"], "--k-min"),
+        (["--protocol", "negativity", "--dm-sizes", ","], "--dm-sizes"),
+        (["--protocol", "negativity", "--dm-sizes", "2,x"], "--dm-sizes"),
+        (["--protocol", "negativity", "--dm-sizes", "2,21"], "--dm-sizes"),
+        (["--protocol", "negativity", "--offsets", ""], "--offsets"),
+        (["--protocol", "negativity", "--offsets", "0,1.5"], "--offsets"),
+        (["--protocol", "negativity", "--dm-sizes", "2", "--offsets=-2,0"], "--offsets"),
+    ],
+)
+def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, flags, flag):
+    import credalbudget.cli as cli_mod
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the flags were checked")
+
+    monkeypatch.setattr(cli_mod, "run_consistency_trials", no_trials)
+    monkeypatch.setattr(cli_mod, "run_negativity_trials", no_trials)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "experiment", *flags, "--out-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag}: ")
+    assert not out_dir.exists()
 
 
 def test_solve_table_rendering(capsys, problem_dir):
@@ -176,6 +206,38 @@ def test_graph_output(capsys, problem_dir, tmp_path):
     assert '"a6" -> "a1";' in target.read_text()
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_graph_non_finite_alpha_exits_one(capsys, problem_dir, alpha):
+    code, out, err = run_cli(
+        capsys, "graph", "--problem", str(problem_dir / "sixacts.json"), f"--alpha={alpha}"
+    )
+    assert (code, out) == (1, "")
+    assert "--alpha: must be finite" in err
+
+
+DOT_ID = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_graph_escapes_act_names(capsys, tmp_path):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "states": ["w1", "w2"],
+        "acts": [
+            {"name": 'a"1', "payoffs": [1, 2]},
+            {"name": "b\\2", "payoffs": [2, 1]},
+            {"name": 'c\\"3\\', "payoffs": [0, 0]},
+        ],
+        "credal": {"vertices": [[0.5, 0.5]]},
+    }))
+    code, out, _ = run_cli(capsys, "graph", "--problem", str(path), "--alpha", "10")
+    assert code == 0
+    body = out.splitlines()[2:-1]
+    assert body[:3] == ['  "a\\"1";', '  "b\\\\2";', '  "c\\\\\\"3\\\\";']
+    assert len(body) == 3 + 6  # every act answers every challenger at alpha 10
+    for line in body:
+        assert re.fullmatch(rf"  {DOT_ID}( -> {DOT_ID})?;", line), line
+
+
 def test_seeded_solve(capsys, problem_dir):
     code, out, _ = run_cli(
         capsys, "solve", "--problem", str(problem_dir / "intro.json"),
@@ -261,6 +323,13 @@ def test_experiment_smoke(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "consistency_trials.csv").exists()
     assert "exact_minimax" in out
+
+    for protocol, aggregate in (
+        ("negativity", negativity_aggregate), ("consistency", consistency_aggregate)
+    ):
+        again = tmp_path / f"{protocol}_again.csv"
+        write_csv(again, aggregate(read_csv(tmp_path / f"{protocol}_trials.csv")))
+        assert again.read_bytes() == (tmp_path / f"{protocol}_aggregate.csv").read_bytes()
 
 
 NON_FINITE_MATRIX = '{"matrix": [[0, NaN, 1], [2, 0, 3], [1, Infinity, 0]]}'

@@ -1,4 +1,4 @@
-"""The vectorised minimax core and regret builds against their frozen loop versions.
+"""The subset solvers and regret builds against their frozen reference versions.
 
 Subsets, values (by repr, so a signed zero counts), the vertex-form matrix
 bytes and the enumerated vertex bytes must match exactly, ties included.
@@ -14,12 +14,19 @@ import pytest
 from reference_solvers import (
     extreme_points_reference,
     greedy_reference,
+    maximin_reference,
     minimax_reference,
     pairwise_regret_reference,
     regret_matrix_lp_reference,
 )
 
-from credalbudget.budget import Criterion, oracle_solve, solve_greedy, solve_minimax
+from credalbudget.budget import (
+    Criterion,
+    oracle_solve,
+    solve_greedy,
+    solve_maximin,
+    solve_minimax,
+)
 from credalbudget.credal import ENUM_MAX_BASES, Act, CredalSet, LinearConstraint
 from credalbudget.errors import InfeasibleCredalError
 from credalbudget.gen import sample_simplex
@@ -75,6 +82,27 @@ def test_minimax_and_greedy_match_reference(block):
 def _repr(solution):
     subset, value = solution
     return subset, repr(value)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_maximin_matches_reference(block):
+    # Every other matrix gets 2e-13 added to about 30% of its off-diagonal
+    # entries: levels closer than COVER_TOL then merge in the scan, and the
+    # exact-cover repair window has to find the true optimum.
+    rng = np.random.default_rng(2000 + block)
+    for m in range(500):
+        matrix = tied_matrix(rng)
+        if m % 2:
+            bump = (rng.random((matrix.n, matrix.n)) < 0.3) & ~np.eye(matrix.n, dtype=bool)
+            matrix = RegretMatrix(matrix.names, matrix.entries + 2e-13 * bump)
+        for k in range(1, matrix.n + 1):
+            seed = int(rng.integers(2**32))
+            sol = solve_maximin(matrix, k)
+            ref = maximin_reference(matrix.entries, k, None)
+            assert (sol.subset, repr(sol.value)) == _repr(ref)
+            sol = solve_maximin(matrix, k, tie_break="seeded", seed=seed)
+            ref = maximin_reference(matrix.entries, k, seeded_rng(seed))
+            assert (sol.subset, repr(sol.value)) == _repr(ref)
 
 
 @pytest.mark.parametrize(
