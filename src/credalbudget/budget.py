@@ -140,8 +140,8 @@ def _minimax_impl(
         # ascending place n - k holds the k-th largest regret against the others.
         regrets = entries.copy()
         np.fill_diagonal(regrets, NEG_INFINITY)
-        kth = np.partition(regrets, n - k, axis=1)[:, n - k]
-        i_star = int(np.argmin(kth))
+        regrets.partition(n - k, axis=1)
+        i_star = int(np.argmin(regrets[:, n - k]))
         top, best, drop = _row_top(entries[i_star].tolist(), i_star, k, None)
     else:
         rows = entries.tolist()
@@ -358,17 +358,21 @@ def solve_greedy(
         # One working copy for every round: a taken act is a -inf column, so
         # it never challenges again, and gets a +inf worst regret, so it is
         # never picked again. argmin takes the lowest index among equal
-        # worst regrets, as the single-pick solver does.
+        # worst regrets, as the single-pick solver does. Removing a column
+        # can lower a row's maximum only where that column attains it, so
+        # only those rows are recomputed; == also matches a +-0 tie, and the
+        # sign of a zero maximum never changes which act argmin picks.
         regrets = matrix.entries.copy()
         np.fill_diagonal(regrets, NEG_INFINITY)
-        taken = np.zeros(n, dtype=bool)
+        worst = regrets.max(axis=1)
         for _ in range(min(k, n)):
-            worst = regrets.max(axis=1)
-            worst[taken] = np.inf
-            winner = int(np.argmin(worst))
+            winner = int(worst.argmin())
             chosen.append(winner)
-            taken[winner] = True
-            regrets[:, winner] = NEG_INFINITY
+            column = regrets[:, winner]  # a view: fill writes the working copy
+            stale = (column == worst).nonzero()[0]
+            column.fill(NEG_INFINITY)
+            worst[stale] = regrets.take(stale, axis=0).max(axis=1)
+            worst[winner] = np.inf
     else:
         remaining = list(range(n))
         for _ in range(min(k, n)):

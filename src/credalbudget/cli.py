@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .bench import (
@@ -282,6 +283,10 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
+    for name in ("trials", "acts", "states", "vertices"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ProblemFormatError(f"--{name}: must be >= 1, got {value}")
     if args.protocol == "consistency":
         if not 1 <= args.k_min <= args.k_max:
             raise ProblemFormatError(
@@ -295,9 +300,10 @@ def _cmd_experiment(args) -> int:
             target_dm=args.target_dm,
             seed=0,
         )
-        records = run_consistency_trials(trials, config, range(args.k_min, args.k_max + 1), args.seed)
-        trial_rows = consistency_record_rows(records)
-        agg_rows = consistency_aggregate(trial_rows)
+        run = partial(
+            run_consistency_trials, trials, config, range(args.k_min, args.k_max + 1), args.seed
+        )
+        to_rows, aggregate = consistency_record_rows, consistency_aggregate
     else:
         trials = 50 if args.trials is None else args.trials
         dm_sizes = _int_list(args.dm_sizes, "--dm-sizes")
@@ -308,12 +314,14 @@ def _cmd_experiment(args) -> int:
             raise ProblemFormatError(
                 f"--offsets: budget {min(dm_sizes)} + {min(offsets)} is below 1"
             )
-        records = run_negativity_trials(
-            trials, dm_sizes, offsets, args.seed,
+        run = partial(
+            run_negativity_trials, trials, dm_sizes, offsets, args.seed,
             n_acts=args.acts, n_states=args.states, n_vertices=args.vertices,
         )
-        trial_rows = negativity_record_rows(records)
-        agg_rows = negativity_aggregate(trial_rows)
+        to_rows, aggregate = negativity_record_rows, negativity_aggregate
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out-dir fails before any trial
+    trial_rows = to_rows(run())
+    agg_rows = aggregate(trial_rows)
     trials_path = out_dir / f"{args.protocol}_trials.csv"
     agg_path = out_dir / f"{args.protocol}_aggregate.csv"
     write_csv(trials_path, trial_rows)
@@ -374,7 +382,7 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ProblemFormatError, ValueError) as exc:
+    except (ProblemFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

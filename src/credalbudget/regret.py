@@ -21,7 +21,7 @@ NEG_INFINITY = float("-inf")
 
 MAXIMALITY_TOL = 1e-9
 
-REGRET_BLOCK_FLOATS = 2**18  # float64 temporaries of 2 MiB per block of vertices
+REGRET_BLOCK_FLOATS = 2**17  # one float64 temporary of 1 MiB per block of output rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,19 +59,21 @@ class RegretMatrix:
 def pairwise_regret_from_vertices(vertices: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     """Vectorized entries[i, j] = max over vertices of E_v(a_j) - E_v(a_i).
 
-    Vertices go through in blocks of at most REGRET_BLOCK_FLOATS / n_acts**2
-    (at least one), so memory is O(n_acts**2) however many vertices there
-    are; small problems take a single block. The max is exact, so the block
-    size never changes the result.
+    Output rows go through in blocks of at most
+    REGRET_BLOCK_FLOATS / (n_vertices * n_acts) rows (at least one), each
+    reduced over the vertices straight into its rows of the result, so
+    memory is the n_acts**2 output plus one temporary of about 1 MiB (of
+    n_vertices * n_acts floats when one row needs more); small problems take
+    a single block. The max is exact, so the block size never
+    changes the result.
     """
     ev = vertices @ payoffs.T  # (n_vertices, n_acts)
     n = ev.shape[1]
-    step = max(1, REGRET_BLOCK_FLOATS // (n * n))
-    entries = None
-    for start in range(0, ev.shape[0], step):
-        block = ev[start:start + step]
-        part = (block[:, None, :] - block[:, :, None]).max(axis=0)  # over v of E_v(a_j) - E_v(a_i)
-        entries = part if entries is None else np.maximum(entries, part, out=entries)
+    rows = max(1, REGRET_BLOCK_FLOATS // (ev.shape[0] * n))
+    entries = np.empty((n, n))
+    for r0 in range(0, n, rows):
+        # over v of E_v(a_j) - E_v(a_i), for i in r0:r0 + rows
+        (ev[:, None, :] - ev[:, r0:r0 + rows, None]).max(axis=0, out=entries[r0:r0 + rows])
     np.fill_diagonal(entries, 0.0)
     return entries
 
@@ -129,12 +131,13 @@ def worst_regret(matrix: RegretMatrix, i: int, others) -> float:
 
 
 def _check_subset(matrix: RegretMatrix, subset) -> tuple[list[int], list[int]]:
-    chosen = sorted(set(subset))
+    members = set(subset)
+    chosen = sorted(members)
     if not chosen:
         raise ValueError("subset must be nonempty")
     if chosen[0] < 0 or chosen[-1] >= matrix.n:
         raise IndexError("subset index out of range")
-    complement = [j for j in range(matrix.n) if j not in set(chosen)]
+    complement = [j for j in range(matrix.n) if j not in members]
     return chosen, complement
 
 

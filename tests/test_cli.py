@@ -72,6 +72,11 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
         (["--protocol", "negativity", "--offsets", ""], "--offsets"),
         (["--protocol", "negativity", "--offsets", "0,1.5"], "--offsets"),
         (["--protocol", "negativity", "--dm-sizes", "2", "--offsets=-2,0"], "--offsets"),
+        (["--protocol", "consistency", "--trials", "0"], "--trials"),
+        (["--protocol", "negativity", "--trials", "0"], "--trials"),
+        (["--protocol", "negativity", "--acts", "0", "--dm-sizes", "1"], "--acts"),
+        (["--protocol", "negativity", "--states", "0"], "--states"),
+        (["--protocol", "consistency", "--vertices", "0"], "--vertices"),
     ],
 )
 def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, flags, flag):
@@ -87,6 +92,29 @@ def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, f
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag}: ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("protocol", ["consistency", "negativity"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_experiment_unusable_out_dir_exits_one_before_trials(
+    capsys, monkeypatch, tmp_path, protocol, below
+):
+    import credalbudget.cli as cli_mod
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before --out-dir was checked")
+
+    monkeypatch.setattr(cli_mod, "run_consistency_trials", no_trials)
+    monkeypatch.setattr(cli_mod, "run_negativity_trials", no_trials)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / below if below else blocker
+    code, out, err = run_cli(
+        capsys, "experiment", "--protocol", protocol, "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_solve_table_rendering(capsys, problem_dir):
@@ -204,6 +232,18 @@ def test_graph_output(capsys, problem_dir, tmp_path):
     )
     assert code == 0
     assert '"a6" -> "a1";' in target.read_text()
+
+
+def test_graph_unwritable_output_exits_one(capsys, problem_dir, tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    target = blocker / "x.dot"
+    code, out, err = run_cli(
+        capsys, "graph", "--problem", str(problem_dir / "sixacts.json"),
+        "--alpha", "0", "--output", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(target) in err
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])

@@ -84,6 +84,33 @@ def _repr(solution):
     return subset, repr(value)
 
 
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("n", [100, 500])
+def test_minimax_and_greedy_match_reference_at_width(n, grid):
+    # Wide matrices take the greedy rounds through rows whose maximum sat in
+    # the winner's column. On the coarse grid, row maxima tie across columns
+    # and about half the zeros are -0.0.
+    rng = np.random.default_rng(3000 + n + grid)
+    entries = rng.uniform(-10.0, 10.0, size=(n, n))
+    if grid:
+        entries = np.round(entries * 2.0) / 2.0
+        entries[(entries == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), entries)
+    seed = int(rng.integers(2**32))
+    for k in (5, 20):
+        sol = solve_minimax(matrix, k)
+        assert (sol.subset, repr(sol.value)) == _repr(minimax_reference(matrix.entries, k, None))
+        sol = solve_minimax(matrix, k, tie_break="seeded", seed=seed)
+        ref = minimax_reference(matrix.entries, k, seeded_rng(seed))
+        assert (sol.subset, repr(sol.value)) == _repr(ref)
+    for tie_break, ref_rng in (("lex", None), ("seeded", seeded_rng(seed))):
+        subset = greedy_reference(matrix.entries, 10, ref_rng)
+        for criterion, evaluator in EVALUATORS:
+            sol = solve_greedy(matrix, 10, criterion, tie_break=tie_break, seed=seed)
+            assert sol.subset == subset
+            assert repr(sol.value) == repr(evaluator(matrix, subset))
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_maximin_matches_reference(block):
     # Every other matrix gets 2e-13 added to about 30% of its off-diagonal
@@ -105,18 +132,37 @@ def test_maximin_matches_reference(block):
             assert (sol.subset, repr(sol.value)) == _repr(ref)
 
 
+def random_payoffs(rng: np.random.Generator, kind: str, n_acts: int, n_states: int) -> np.ndarray:
+    """Integer payoffs, real payoffs, or small integers with about half the zeros -0.0."""
+    if kind == "integer":
+        return rng.integers(0, 101, size=(n_acts, n_states)).astype(float)
+    if kind == "real":
+        return rng.uniform(-50.0, 50.0, size=(n_acts, n_states))
+    payoffs = rng.integers(-1, 2, size=(n_acts, n_states)).astype(float)
+    payoffs[(payoffs == 0) & (rng.random((n_acts, n_states)) < 0.5)] = -0.0
+    return payoffs
+
+
+# Rows are built in blocks of max(1, REGRET_BLOCK_FLOATS // (n_vertices * n_acts)):
+# one block (2, 7, 20 and 1 acts), uneven splits (100 and 333 acts at 50
+# vertices, 500 acts at 1 vertex), even splits (500 and 1000 acts at 50
+# vertices) and one row per block (500 acts at 200 vertices).
 @pytest.mark.parametrize(
     "n_acts, n_states, n_vertices",
-    [(2, 2, 1), (7, 3, 4), (20, 5, 20), (100, 8, 50), (500, 8, 50)],
+    [
+        (2, 2, 1), (7, 3, 4), (20, 5, 20), (100, 8, 50), (500, 8, 50),
+        (1, 8, 50), (333, 8, 50), (1000, 8, 50), (500, 8, 1), (500, 8, 200),
+    ],
 )
 def test_vertex_build_is_bitwise_equal(n_acts, n_states, n_vertices):
-    rng = np.random.default_rng(n_acts)
-    for _ in range(3):
-        vertices = sample_simplex(n_states, n_vertices, rng)
-        payoffs = rng.integers(0, 101, size=(n_acts, n_states)).astype(float)
-        got = pairwise_regret_from_vertices(vertices, payoffs)
-        want = pairwise_regret_reference(vertices, payoffs)
-        assert got.tobytes() == want.tobytes()
+    for kind in ("integer", "real", "signed-zero"):
+        rng = np.random.default_rng(n_acts)
+        for _ in range(3):
+            vertices = sample_simplex(n_states, n_vertices, rng)
+            payoffs = random_payoffs(rng, kind, n_acts, n_states)
+            got = pairwise_regret_from_vertices(vertices, payoffs)
+            want = pairwise_regret_reference(vertices, payoffs)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_vertex_build_memory_is_quadratic_in_acts():
@@ -130,6 +176,21 @@ def test_vertex_build_memory_is_quadratic_in_acts():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # a (vertices, acts, acts) temporary would be ~100 MiB
+
+
+@pytest.mark.parametrize("n_acts", [500, 1000])
+def test_vertex_build_memory_is_output_plus_one_block(n_acts):
+    rng = np.random.default_rng(n_acts)
+    vertices = sample_simplex(8, 50, rng)
+    payoffs = rng.integers(0, 101, size=(n_acts, 8)).astype(float)
+    tracemalloc.start()
+    try:
+        pairwise_regret_from_vertices(vertices, payoffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the n**2 float64 output plus one block temporary of about 1 MiB
+    assert peak < n_acts * n_acts * 8 + 4 * 2**20
 
 
 POLYTOPE_KINDS = ("interval", "general", "redundant", "single")
