@@ -155,13 +155,10 @@ def _minimax_impl(
 
 def cover_family(matrix: RegretMatrix, alpha: float, *, tol: float = COVER_TOL) -> CoverFamily:
     """Challengers each act answers at level alpha."""
-    n = matrix.n
-    sets = tuple(
-        frozenset(
-            j for j in range(n) if j != i and matrix.entries[i, j] <= alpha + tol
-        )
-        for i in range(n)
-    )
+    within = matrix.entries <= alpha + tol
+    np.fill_diagonal(within, False)
+    acts = range(matrix.n)
+    sets = tuple(frozenset(itertools.compress(acts, row)) for row in within.tolist())
     return CoverFamily(float(alpha), sets)
 
 
@@ -217,18 +214,26 @@ def reachability_check(covers: CoverFamily, k: int, n: int) -> tuple[int, ...] |
                 chosen.append(next(spare))
             return tuple(sorted(chosen))
 
-    return _dfs_first(masks, k, n, full)
+    hits = _satisfying_subsets(masks, k, n, 1)
+    return hits[0] if hits else None
 
 
-def _dfs_first(masks: list[int], k: int, n: int, full: int) -> tuple[int, ...] | None:
-    """Lexicographically first satisfying k-subset, or None."""
+def _satisfying_subsets(masks: list[int], k: int, n: int, limit: int) -> list[tuple[int, ...]]:
+    """The first `limit` satisfying k-subsets in lexicographic order (fewer if none are left)."""
+    full = (1 << n) - 1
+    hits: list[tuple[int, ...]] = []
+    prefix: list[int] = []
 
-    def walk(start: int, depth: int, covered: int, prefix: list[int]):
-        remaining = k - depth
+    def walk(start: int, remaining: int, covered: int) -> bool:
+        """Collect the hits that extend prefix; True once `limit` are in."""
         if covered == full:
-            return tuple(prefix + list(range(start, start + remaining)))
+            for rest in itertools.combinations(range(start, n), remaining):
+                hits.append(tuple(prefix) + rest)
+                if len(hits) == limit:
+                    return True
+            return False
         if remaining == 0:
-            return None
+            return False
         missing = (~covered) & full
         best_gain = 0
         for i in range(start, n):
@@ -236,41 +241,15 @@ def _dfs_first(masks: list[int], k: int, n: int, full: int) -> tuple[int, ...] |
             if gain > best_gain:
                 best_gain = gain
         if best_gain * remaining < missing.bit_count():
-            return None
+            return False
         for i in range(start, n - remaining + 1):
             prefix.append(i)
-            hit = walk(i + 1, depth + 1, covered | masks[i], prefix)
-            if hit is not None:
-                return hit
+            if walk(i + 1, remaining - 1, covered | masks[i]):
+                return True
             prefix.pop()
-        return None
+        return False
 
-    return walk(0, 0, 0, [])
-
-
-def _collect_satisfying(masks: list[int], k: int, n: int, full: int) -> list[tuple[int, ...]]:
-    """Every satisfying k-subset (potentially expensive; seeded ties only)."""
-    hits: list[tuple[int, ...]] = []
-
-    def walk(start: int, depth: int, covered: int, prefix: list[int]) -> None:
-        remaining = k - depth
-        if remaining == 0:
-            if covered == full:
-                hits.append(tuple(prefix))
-            return
-        missing = (~covered) & full
-        if missing:
-            best_gain = max(
-                ((masks[i] & missing).bit_count() for i in range(start, n)), default=0
-            )
-            if best_gain * remaining < missing.bit_count():
-                return
-        for i in range(start, n - remaining + 1):
-            prefix.append(i)
-            walk(i + 1, depth + 1, covered | masks[i], prefix)
-            prefix.pop()
-
-    walk(0, 0, 0, [])
+    walk(0, k, 0)
     return hits
 
 
@@ -284,6 +263,10 @@ def solve_maximin(
     the first level whose cover family admits a size-k reachability subset
     is the optimum. The scan always terminates: the minimax value is an
     upper bound, and at the largest regret every cover is complete.
+
+    The seeded policy draws uniformly among the satisfying subsets at that
+    level which attain the optimum; when more than ORACLE_MAX_SUBSETS
+    subsets satisfy, it raises GuardExceededError instead of listing them.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
@@ -311,15 +294,18 @@ def solve_maximin(
             # Re-test each distinct level in that window with exact covers;
             # the first hit is the true optimum.
             for mid in np.unique(values[(values >= alpha) & (values <= value)]):
-                exact = reachability_check(cover_family(matrix, float(mid), tol=0.0), k, n)
+                exact_covers = cover_family(matrix, float(mid), tol=0.0)
+                exact = reachability_check(exact_covers, k, n)
                 if exact is not None:
-                    found = exact
+                    found, covers = exact, exact_covers
                     value = maximin_regret(matrix, found)
-                    covers = cover_family(matrix, float(mid), tol=0.0)
                     break
         if rng is not None:
-            masks = _cover_masks(covers, n)
-            options = _collect_satisfying(masks, k, n, (1 << n) - 1)
+            options = _satisfying_subsets(_cover_masks(covers, n), k, n, ORACLE_MAX_SUBSETS + 1)
+            if len(options) > ORACLE_MAX_SUBSETS:
+                raise GuardExceededError(
+                    f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
+                )
             best = [T for T in options if maximin_regret(matrix, T) == value]
             found = best[int(rng.integers(len(best)))]
         return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
@@ -452,9 +438,9 @@ def oracle_optima(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> 
     return optima
 
 
-def domination_graph_dot(matrix: RegretMatrix, alpha: float, *, tol: float = COVER_TOL) -> str:
+def domination_graph_dot(matrix: RegretMatrix, alpha: float) -> str:
     """DOT digraph with an edge i -> j when act i answers challenger j at alpha."""
-    covers = cover_family(matrix, alpha, tol=tol)
+    covers = cover_family(matrix, alpha)
     # quoted DOT IDs; escaping \ and " keeps a name from ending its string early
     ids = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in matrix.names]
     lines = ["digraph domination {", f'  label="alpha = {alpha:g}";']

@@ -292,6 +292,10 @@ def _cmd_experiment(args) -> int:
             raise ProblemFormatError(
                 f"--k-min: need 1 <= --k-min <= --k-max, got {args.k_min} and {args.k_max}"
             )
+        if not 1 <= args.target_dm <= args.acts:
+            raise ProblemFormatError(
+                f"--target-dm: must lie in [1, --acts {args.acts}], got {args.target_dm}"
+            )
         trials = 100 if args.trials is None else args.trials
         config = GenConfig(
             n_acts=args.acts,

@@ -69,6 +69,14 @@ def _numeric_vector(values, length: int | None, where: str) -> tuple[float, ...]
     return floats
 
 
+def _check_act_names(names, where: str) -> None:
+    """Act names must be nonempty (an empty one prints like an empty subset) and unique."""
+    if not all(names):
+        raise ProblemFormatError(f"{where}: names must be nonempty")
+    if len(set(names)) != len(names):
+        raise ProblemFormatError(f"{where}: names must be unique")
+
+
 def problem_from_dict(data: dict) -> Problem:
     """Validate and build a Problem; error messages name the offending field."""
     if not isinstance(data, dict):
@@ -88,8 +96,7 @@ def problem_from_dict(data: dict) -> Problem:
             raise ProblemFormatError("acts: with a matrix, acts must be a list of names")
         if len(names) != n:
             raise ProblemFormatError(f"acts: expected {n} names, got {len(names)}")
-        if len(set(names)) != n:
-            raise ProblemFormatError("acts: names must be unique")
+        _check_act_names(names, "acts")
         return Problem(None, None, None, RegretMatrix(tuple(names), entries))
 
     labels = _require(data, "states", list, "problem")
@@ -115,9 +122,7 @@ def problem_from_dict(data: dict) -> Problem:
             acts.append(Act(name, payoffs))
         except ValueError as exc:
             raise ProblemFormatError(f"acts[{idx}]: {exc}") from exc
-    names = [a.name for a in acts]
-    if len(set(names)) != len(names):
-        raise ProblemFormatError("acts: names must be unique")
+    _check_act_names([a.name for a in acts], "acts")
 
     raw_credal = _require(data, "credal", dict, "problem")
     has_vertices = "vertices" in raw_credal
@@ -171,9 +176,11 @@ def load_problem(path) -> Problem:
         raise ProblemFormatError(f"problem file {p}: {exc}") from exc
     if p.suffix.lower() == ".csv":
         try:
-            return Problem(None, None, None, matrix_from_csv(text))
+            matrix = matrix_from_csv(text)
         except ValueError as exc:
             raise ProblemFormatError(f"problem file {p}: {exc}") from exc
+        _check_act_names(matrix.names, f"problem file {p}: matrix csv header")
+        return Problem(None, None, None, matrix)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -46,11 +46,6 @@ class RegretMatrix:
     def n(self) -> int:
         return len(self.names)
 
-    def entry(self, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError("regret entry is undefined on the diagonal")
-        return float(self.entries[i, j])
-
     def off_diagonal_values(self) -> np.ndarray:
         mask = ~np.eye(self.n, dtype=bool)
         return self.entries[mask]

@@ -245,6 +245,22 @@ def test_seeded_maximin_stays_optimal(matrices):
         assert maximin_regret(matrix, solution.subset) == solution.value
 
 
+@pytest.mark.parametrize("limit, raises", [(50, True), (69, True), (70, False)])
+def test_seeded_maximin_tie_list_guard(monkeypatch, limit, raises):
+    # all-zero 8 acts at k=4: every one of the C(8, 4) = 70 subsets is optimal
+    import credalbudget.budget as budget_mod
+
+    monkeypatch.setattr(budget_mod, "ORACLE_MAX_SUBSETS", limit)
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(8)), np.zeros((8, 8)))
+    if raises:
+        with pytest.raises(GuardExceededError, match="tie list"):
+            solve_maximin(matrix, 4, tie_break="seeded", seed=3)
+    else:
+        solution = solve_maximin(matrix, 4, tie_break="seeded", seed=3)
+        assert solution.value == 0.0 and len(solution.subset) == 4
+    assert solve_maximin(matrix, 4).subset == (0, 1, 2, 3)  # lex stops at its first hit
+
+
 def test_seeded_is_deterministic_per_seed(matrices):
     matrix = matrices["intro"]
     a = solve_minimax(matrix, 3, tie_break="seeded", seed=7)

@@ -58,7 +58,7 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
         "--out-dir", str(tmp_path), "--acts", "4", "--target-dm", "9",
     )
     assert code == 1
-    assert "target_dm" in err
+    assert "--target-dm: " in err
 
 
 @pytest.mark.parametrize(
@@ -77,6 +77,8 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
         (["--protocol", "negativity", "--acts", "0", "--dm-sizes", "1"], "--acts"),
         (["--protocol", "negativity", "--states", "0"], "--states"),
         (["--protocol", "consistency", "--vertices", "0"], "--vertices"),
+        (["--protocol", "consistency", "--target-dm", "0"], "--target-dm"),
+        (["--protocol", "consistency", "--acts", "4", "--target-dm", "5"], "--target-dm"),
     ],
 )
 def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, flags, flag):
@@ -327,6 +329,18 @@ def test_exit_code_guard(capsys, tmp_path):
     assert "guard" in err
 
 
+def test_seeded_maximin_tie_guard_exits_three(capsys, monkeypatch, tmp_path):
+    import credalbudget.budget as budget_mod
+
+    monkeypatch.setattr(budget_mod, "ORACLE_MAX_SUBSETS", 50)
+    pre = tmp_path / "tied.json"
+    pre.write_text(json.dumps({"matrix": [[0.0] * 8 for _ in range(8)]}))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(pre), "--k", "4",
+                             "--criterion", "maximin", "--tie-break", "seeded")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "guard" in err
+
+
 def test_bad_k_rejected(capsys, problem_dir):
     code, _, err = run_cli(
         capsys, "solve", "--problem", str(problem_dir / "intro.json"),
@@ -423,3 +437,23 @@ def test_non_finite_matrix_csv_exits_one(capsys, tmp_path, cell):
     code, out, err = run_cli(capsys, "solve", "--problem", str(path), "--k", "1")
     assert (code, out) == (1, "")
     assert f"matrix csv row 2, column 'a1': '{cell}' is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "suffix, text, message",
+    [
+        (".csv", ",a,a\na,,1\na,1,\n", "matrix csv header: names must be unique"),
+        (".csv", ",,b\n,,1\nb,1,\n", "matrix csv header: names must be nonempty"),
+        (".json", '{"matrix": [[0, 1], [1, 0]], "acts": ["", "b"]}', "acts: names must be nonempty"),
+        (".json", '{"matrix": [[0, 1], [1, 0]], "acts": ["a", "a"]}', "acts: names must be unique"),
+    ],
+    ids=["csv-duplicate", "csv-empty", "json-empty", "json-duplicate"],
+)
+def test_bad_matrix_act_names_exit_one(capsys, tmp_path, suffix, text, message):
+    path = tmp_path / f"names{suffix}"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "solve", "--problem", str(path), "--k", "1", "--criterion", "maximin"
+    )
+    assert (code, out) == (1, "")
+    assert message in err
