@@ -3,9 +3,12 @@
 The minimax solver is the direct polynomial selection over per-act top-k
 regret columns. The maximin solver scans candidate levels alpha upward and
 asks, per level, whether k acts can answer every outside challenger at
-regret <= alpha; that check is a dominating-set search over cover sets and
-is done by a lexicographic DFS with pruning. A brute-force oracle evaluates
-every subset for cross-checking.
+regret <= alpha; that check is a dominating-set search over cover sets,
+done by a greedy pass and then a lexicographic DFS whose one pruning bound
+is the sum of the largest gains the acts still to pick can add. The same
+level scan, with exact covers, re-checks the window that the cover
+tolerance may have merged. A brute-force oracle evaluates every subset for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ def _policy(tie_break: str, seed: int | None) -> tuple[str, np.random.Generator 
         return LEX, None
     if tie_break == SEEDED:
         actual = 0 if seed is None else int(seed)
+        if actual < 0:
+            raise ValueError(f"seed: must be >= 0, got {actual}")
         return f"seeded:{actual}", np.random.default_rng(np.random.PCG64(actual))
     raise ValueError(f"tie_break: expected '{LEX}' or '{SEEDED}', got {tie_break!r}")
 
@@ -175,11 +180,10 @@ def _cover_masks(covers: CoverFamily, n: int) -> list[int]:
 def reachability_check(covers: CoverFamily, k: int, n: int) -> tuple[int, ...] | None:
     """Find T with |T| = k whose members plus their covers reach all n acts.
 
-    Returns None when no such T exists. The search enumerates k-subsets in
-    lexicographic order, after two short-cuts: a size bound (k plus the k
-    largest cover sizes must reach n) and a greedy pass that picks the act
-    covering the most still-uncovered acts and returns immediately on
-    success. Neither affects completeness; the enumeration is the fallback.
+    Returns None when no such T exists. A greedy pass first picks, k times,
+    the act covering the most still-uncovered acts and returns at once if
+    that reaches everything; otherwise the lexicographic walker decides.
+    The greedy pass does not affect completeness.
     """
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of acts {n}")
@@ -187,10 +191,6 @@ def reachability_check(covers: CoverFamily, k: int, n: int) -> tuple[int, ...] |
         raise ValueError("cover family size does not match n")
     if k == n:
         return tuple(range(n))
-
-    sizes = sorted((len(s) for s in covers.sets), reverse=True)
-    if k + sum(sizes[:k]) < n:
-        return None
 
     masks = _cover_masks(covers, n)
     full = (1 << n) - 1
@@ -234,13 +234,11 @@ def _satisfying_subsets(masks: list[int], k: int, n: int, limit: int) -> list[tu
             return False
         if remaining == 0:
             return False
+        # The acts still to pick cover at most their `remaining` largest
+        # gains, so a prefix whose top gains fall short holds no hit.
         missing = (~covered) & full
-        best_gain = 0
-        for i in range(start, n):
-            gain = (masks[i] & missing).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-        if best_gain * remaining < missing.bit_count():
+        gains = sorted(((masks[i] & missing).bit_count() for i in range(start, n)), reverse=True)
+        if sum(gains[:remaining]) < missing.bit_count():
             return False
         for i in range(start, n - remaining + 1):
             prefix.append(i)
@@ -253,16 +251,25 @@ def _satisfying_subsets(masks: list[int], k: int, n: int, limit: int) -> list[tu
     return hits
 
 
+def _first_reachable(matrix: RegretMatrix, levels, k: int, tol: float):
+    """(level, covers, subset) at the first of the ascending levels that reaches every act."""
+    for level in levels:
+        covers = cover_family(matrix, float(level), tol=tol)
+        found = reachability_check(covers, k, matrix.n)
+        if found is not None:
+            return float(level), covers, found
+    raise RuntimeError("internal error: no maximin level reaches every act")
+
+
 def solve_maximin(
     matrix: RegretMatrix, k: int, *, tie_break: str = LEX, seed: int | None = None
 ) -> BudgetSolution:
     """Optimal size-min(k, n) subset under the maximin regret criterion.
 
-    Scans candidate levels upward through the sorted off-diagonal regrets,
-    starting at the (n - k)-th lowest and visiting each distinct value once;
-    the first level whose cover family admits a size-k reachability subset
-    is the optimum. The scan always terminates: the minimax value is an
-    upper bound, and at the largest regret every cover is complete.
+    Scans the distinct off-diagonal regrets upward, starting at the
+    (n - k)-th lowest; the first level whose cover family admits a size-k
+    reachability subset is the optimum. The scan always ends: at the largest
+    regret every cover is complete.
 
     The seeded policy draws uniformly among the satisfying subsets at that
     level which attain the optimum; when more than ORACLE_MAX_SUBSETS
@@ -275,41 +282,24 @@ def solve_maximin(
         return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MAXIMIN, 1, label)
 
     values = np.sort(matrix.off_diagonal_values())
-    idx = n - k - 1
-    previous = None
-    while idx < values.size:
-        alpha = float(values[idx])
-        idx += 1
-        if previous is not None and alpha == previous:
-            continue
-        previous = alpha
-        covers = cover_family(matrix, alpha)
-        found = reachability_check(covers, k, n)
-        if found is None:
-            continue
+    alpha, covers, found = _first_reachable(matrix, np.unique(values[n - k - 1:]), k, COVER_TOL)
+    value = maximin_regret(matrix, found)
+    if value != alpha:
+        # The cover tolerance merged levels closer than COVER_TOL, so a
+        # strictly better subset may hide between alpha and this value. The
+        # first level in that window with exact covers is the true optimum.
+        window = np.unique(values[(values >= alpha) & (values <= value)])
+        _, covers, found = _first_reachable(matrix, window, k, 0.0)
         value = maximin_regret(matrix, found)
-        if value != alpha:
-            # The cover tolerance merged levels closer than COVER_TOL, so a
-            # strictly better subset may hide between alpha and this value.
-            # Re-test each distinct level in that window with exact covers;
-            # the first hit is the true optimum.
-            for mid in np.unique(values[(values >= alpha) & (values <= value)]):
-                exact_covers = cover_family(matrix, float(mid), tol=0.0)
-                exact = reachability_check(exact_covers, k, n)
-                if exact is not None:
-                    found, covers = exact, exact_covers
-                    value = maximin_regret(matrix, found)
-                    break
-        if rng is not None:
-            options = _satisfying_subsets(_cover_masks(covers, n), k, n, ORACLE_MAX_SUBSETS + 1)
-            if len(options) > ORACLE_MAX_SUBSETS:
-                raise GuardExceededError(
-                    f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
-                )
-            best = [T for T in options if maximin_regret(matrix, T) == value]
-            found = best[int(rng.integers(len(best)))]
-        return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
-    raise RuntimeError("internal error: maximin level scan found no reachable value")
+    if rng is not None:
+        options = _satisfying_subsets(_cover_masks(covers, n), k, n, ORACLE_MAX_SUBSETS + 1)
+        if len(options) > ORACLE_MAX_SUBSETS:
+            raise GuardExceededError(
+                f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
+            )
+        best = [T for T in options if maximin_regret(matrix, T) == value]
+        found = best[int(rng.integers(len(best)))]
+    return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
 
 
 def _base_criterion(criterion) -> Criterion:

@@ -287,6 +287,9 @@ def _cmd_experiment(args) -> int:
         value = getattr(args, name)
         if value is not None and value < 1:
             raise ProblemFormatError(f"--{name}: must be >= 1, got {value}")
+    if args.seed < 0:
+        raise ProblemFormatError(f"--seed: must be >= 0, got {args.seed}")
+    # at k >= --acts every rule keeps the whole act set at value -inf
     if args.protocol == "consistency":
         if not 1 <= args.k_min <= args.k_max:
             raise ProblemFormatError(
@@ -295,6 +298,10 @@ def _cmd_experiment(args) -> int:
         if not 1 <= args.target_dm <= args.acts:
             raise ProblemFormatError(
                 f"--target-dm: must lie in [1, --acts {args.acts}], got {args.target_dm}"
+            )
+        if args.k_max >= args.acts:
+            raise ProblemFormatError(
+                f"--k-max: must be below --acts {args.acts}, got {args.k_max}"
             )
         trials = 100 if args.trials is None else args.trials
         config = GenConfig(
@@ -317,6 +324,10 @@ def _cmd_experiment(args) -> int:
         if min(dm_sizes) + min(offsets) < 1:
             raise ProblemFormatError(
                 f"--offsets: budget {min(dm_sizes)} + {min(offsets)} is below 1"
+            )
+        if max(dm_sizes) + max(offsets) >= args.acts:
+            raise ProblemFormatError(
+                f"--offsets: budget {max(dm_sizes)} + {max(offsets)} is not below --acts {args.acts}"
             )
         run = partial(
             run_negativity_trials, trials, dm_sizes, offsets, args.seed,

@@ -3,7 +3,8 @@
 The matrix stores entries[i, j] = upper expectation of (payoff_j - payoff_i):
 the worst expected loss of keeping act i when act j was available. Printed
 tables follow the opposite orientation (rows indexed by the challenger j),
-so only the CSV emitter transposes; everything else reads entries[i, j].
+so only the CSV emitter and the CLI's table printer transpose; everything
+else reads entries[i, j].
 """
 
 from __future__ import annotations

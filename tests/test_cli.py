@@ -79,6 +79,15 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
         (["--protocol", "consistency", "--vertices", "0"], "--vertices"),
         (["--protocol", "consistency", "--target-dm", "0"], "--target-dm"),
         (["--protocol", "consistency", "--acts", "4", "--target-dm", "5"], "--target-dm"),
+        (["--protocol", "consistency", "--seed", "-1"], "--seed"),
+        (["--protocol", "negativity", "--seed", "-3", "--dm-sizes", "5,2"], "--seed"),
+        (["--protocol", "consistency", "--k-max", "9", "--acts", "3", "--target-dm", "2"],
+         "--k-max"),
+        (["--protocol", "consistency", "--k-max", "3", "--acts", "3", "--target-dm", "2"],
+         "--k-max"),
+        (["--protocol", "negativity", "--offsets", "5", "--dm-sizes", "2", "--acts", "3"],
+         "--offsets"),
+        (["--protocol", "negativity", "--dm-sizes", "20"], "--offsets"),
     ],
 )
 def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, flags, flag):
@@ -287,6 +296,17 @@ def test_seeded_solve(capsys, problem_dir):
     )
     assert code == 0
     assert "value 1" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "decide"])
+@pytest.mark.parametrize("criterion", ["minimax", "maximin"])
+def test_negative_seed_exits_one_naming_seed(capsys, problem_dir, command, criterion):
+    code, out, err = run_cli(
+        capsys, command, "--problem", str(problem_dir / "sixacts.json"), "--k", "2",
+        "--criterion", criterion, "--tie-break", "seeded", "--seed", "-1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: seed: must be >= 0, got -1\n"
 
 
 def test_exit_code_malformed(capsys, tmp_path):

@@ -20,6 +20,7 @@ from reference_solvers import (
     regret_matrix_lp_reference,
 )
 
+from credalbudget.bench import trial_seeds
 from credalbudget.budget import (
     Criterion,
     oracle_solve,
@@ -29,7 +30,7 @@ from credalbudget.budget import (
 )
 from credalbudget.credal import ENUM_MAX_BASES, Act, CredalSet, LinearConstraint
 from credalbudget.errors import InfeasibleCredalError
-from credalbudget.gen import sample_simplex
+from credalbudget.gen import GenConfig, generate_instance, sample_simplex
 from credalbudget.regret import (
     RegretMatrix,
     maximal_acts,
@@ -130,6 +131,23 @@ def test_maximin_matches_reference(block):
             sol = solve_maximin(matrix, k, tie_break="seeded", seed=seed)
             ref = maximin_reference(matrix.entries, k, seeded_rng(seed))
             assert (sol.subset, repr(sol.value)) == _repr(ref)
+
+
+@pytest.mark.parametrize("dm", [2, 5, 10])
+def test_maximin_matches_reference_at_negativity_size(dm):
+    # The first negativity-protocol instance at each maximality count (20
+    # acts, 5 states, 20 vertices): deep enough that the walker's gain bound
+    # prunes inside the tree, not only at its root.
+    config = GenConfig(
+        n_acts=20, n_states=5, n_vertices=20, target_dm=dm, seed=trial_seeds(dm, 1)[0]
+    )
+    matrix = regret_matrix(*generate_instance(config))
+    for k in range(dm, dm + 4):
+        sol = solve_maximin(matrix, k)
+        assert (sol.subset, repr(sol.value)) == _repr(maximin_reference(matrix.entries, k, None))
+        sol = solve_maximin(matrix, k, tie_break="seeded", seed=k)
+        ref = maximin_reference(matrix.entries, k, seeded_rng(k))
+        assert (sol.subset, repr(sol.value)) == _repr(ref)
 
 
 def random_payoffs(rng: np.random.Generator, kind: str, n_acts: int, n_states: int) -> np.ndarray:
