@@ -10,14 +10,14 @@ Two protocols over generated instances:
 
 Per-trial seeds derive from the master seed up front, so results do not
 depend on evaluation order. Each aggregate takes the per-trial rows as its
-only input, either as built by `*_record_rows` or as read back from the
+only input, either as returned by `run_*_trials` or as read back from the
 per-trial CSV by `read_csv`, and gives the same table from both.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,38 +30,6 @@ RULES = ("exact_minimax", "greedy_minimax", "exact_maximin", "greedy_maximin")
 PAIRS = ("minimax", "maximin")
 
 VALUE_EQ_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One (instance, budget) evaluation of all four rules."""
-
-    trial: int
-    seed: int
-    k: int
-    dm_size: int
-    subsets: dict[str, tuple[int, ...]]
-    values: dict[str, float]
-    weak: dict[str, bool]
-    strong: dict[str, bool]
-    overlap_dm: dict[str, float]
-    exact_equals_greedy: dict[str, bool]
-    greedy_overlap: dict[str, float]
-
-
-@dataclass(frozen=True)
-class NegativityRecord:
-    """One (instance, budget) comparison of the two optimal values."""
-
-    dm_size: int
-    trial: int
-    seed: int
-    k: int
-    minimax_value: float
-    maximin_value: float
-    minimax_negative: bool
-    maximin_negative: bool
-    values_equal: bool
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
@@ -85,51 +53,44 @@ def run_consistency_trials(
     config: GenConfig,
     k_range,
     master_seed: int,
-) -> list[TrialRecord]:
-    """Evaluate the four rules on `trials` generated instances per budget k."""
+) -> list[dict]:
+    """Per-trial rows: the four rules on `trials` generated instances per budget k."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    records: list[TrialRecord] = []
+    rows: list[dict] = []
     for trial, seed in enumerate(trial_seeds(master_seed, trials)):
         acts, credal = generate_instance(replace(config, seed=seed))
         matrix = regret_matrix(acts, credal)
         dm = set(maximal_acts(matrix))
         for k in k_range:
-            solutions = {
+            solutions = {  # in RULES order, which is the CSV column order
                 "exact_minimax": solve_minimax(matrix, k),
-                "exact_maximin": solve_maximin(matrix, k),
                 "greedy_minimax": solve_greedy(matrix, k, Criterion.MINIMAX),
+                "exact_maximin": solve_maximin(matrix, k),
                 "greedy_maximin": solve_greedy(matrix, k, Criterion.MAXIMIN),
             }
-            subsets = {rule: sol.subset for rule, sol in solutions.items()}
-            chosen = {rule: set(sub) for rule, sub in subsets.items()}
-            records.append(
-                TrialRecord(
-                    trial=trial,
-                    seed=seed,
-                    k=k,
-                    dm_size=len(dm),
-                    subsets=subsets,
-                    values={rule: sol.value for rule, sol in solutions.items()},
-                    weak={rule: bool(s & dm) for rule, s in chosen.items()},
-                    strong={rule: s <= dm for rule, s in chosen.items()},
-                    overlap_dm={
-                        rule: _frac(len(s & dm), len(s)) for rule, s in chosen.items()
-                    },
-                    exact_equals_greedy={
-                        pair: chosen[f"exact_{pair}"] == chosen[f"greedy_{pair}"]
-                        for pair in PAIRS
-                    },
-                    greedy_overlap={
-                        pair: _frac(
-                            len(chosen[f"greedy_{pair}"] & chosen[f"exact_{pair}"]),
-                            len(chosen[f"greedy_{pair}"]),
-                        )
-                        for pair in PAIRS
-                    },
-                )
-            )
-    return records
+            row: dict = {
+                "trial": trial,
+                "seed": seed,
+                "k": k,
+                "dm_size": len(dm),
+                "minimax_value": solutions["exact_minimax"].value,
+                "maximin_value": solutions["exact_maximin"].value,
+            }
+            for rule, sol in solutions.items():
+                chosen = set(sol.subset)
+                row[f"{rule}_subset"] = " ".join(str(i) for i in sol.subset)
+                row[f"{rule}_value"] = sol.value
+                row[f"{rule}_weak"] = int(bool(chosen & dm))
+                row[f"{rule}_strong"] = int(chosen <= dm)
+                row[f"{rule}_dm_overlap"] = _frac(len(chosen & dm), len(chosen))
+            for pair in PAIRS:
+                exact = set(solutions[f"exact_{pair}"].subset)
+                greedy = set(solutions[f"greedy_{pair}"].subset)
+                row[f"{pair}_exact_equals_greedy"] = int(exact == greedy)
+                row[f"{pair}_greedy_overlap"] = _frac(len(greedy & exact), len(greedy))
+            rows.append(row)
+    return rows
 
 
 def run_negativity_trials(
@@ -141,11 +102,11 @@ def run_negativity_trials(
     n_acts: int = 20,
     n_states: int = 5,
     n_vertices: int = 20,
-) -> list[NegativityRecord]:
-    """Optimal values at budgets just past each targeted maximality count."""
+) -> list[dict]:
+    """Per-trial rows: optimal values at budgets just past each targeted maximality count."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    records: list[NegativityRecord] = []
+    rows: list[dict] = []
     for dm_size in dm_sizes:
         seeds = trial_seeds(master_seed + dm_size, trials)
         for trial, seed in enumerate(seeds):
@@ -162,65 +123,20 @@ def run_negativity_trials(
                 k = dm_size + offset
                 mml = solve_minimax(matrix, k).value
                 mmaxl = solve_maximin(matrix, k).value
-                records.append(
-                    NegativityRecord(
-                        dm_size=dm_size,
-                        trial=trial,
-                        seed=seed,
-                        k=k,
-                        minimax_value=mml,
-                        maximin_value=mmaxl,
-                        minimax_negative=mml < 0,
-                        maximin_negative=mmaxl < 0,
-                        values_equal=_values_equal(mml, mmaxl),
-                    )
+                rows.append(
+                    {
+                        "dm_size": dm_size,
+                        "trial": trial,
+                        "seed": seed,
+                        "k": k,
+                        "minimax_value": mml,
+                        "maximin_value": mmaxl,
+                        "minimax_negative": int(mml < 0),
+                        "maximin_negative": int(mmaxl < 0),
+                        "values_equal": int(_values_equal(mml, mmaxl)),
+                    }
                 )
-    return records
-
-
-def _subset_cell(subset: tuple[int, ...]) -> str:
-    return " ".join(str(i) for i in subset)
-
-
-def consistency_record_rows(records: list[TrialRecord]) -> list[dict]:
-    rows = []
-    for r in records:
-        row: dict = {
-            "trial": r.trial,
-            "seed": r.seed,
-            "k": r.k,
-            "dm_size": r.dm_size,
-            "minimax_value": repr(r.values["exact_minimax"]),
-            "maximin_value": repr(r.values["exact_maximin"]),
-        }
-        for rule in RULES:
-            row[f"{rule}_subset"] = _subset_cell(r.subsets[rule])
-            row[f"{rule}_value"] = repr(r.values[rule])
-            row[f"{rule}_weak"] = int(r.weak[rule])
-            row[f"{rule}_strong"] = int(r.strong[rule])
-            row[f"{rule}_dm_overlap"] = r.overlap_dm[rule]
-        for pair in PAIRS:
-            row[f"{pair}_exact_equals_greedy"] = int(r.exact_equals_greedy[pair])
-            row[f"{pair}_greedy_overlap"] = r.greedy_overlap[pair]
-        rows.append(row)
     return rows
-
-
-def negativity_record_rows(records: list[NegativityRecord]) -> list[dict]:
-    return [
-        {
-            "dm_size": r.dm_size,
-            "trial": r.trial,
-            "seed": r.seed,
-            "k": r.k,
-            "minimax_value": repr(r.minimax_value),
-            "maximin_value": repr(r.maximin_value),
-            "minimax_negative": int(r.minimax_negative),
-            "maximin_negative": int(r.maximin_negative),
-            "values_equal": int(r.values_equal),
-        }
-        for r in records
-    ]
 
 
 def write_csv(path, rows: list[dict]) -> None:

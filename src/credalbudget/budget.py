@@ -79,12 +79,12 @@ def _validate_k(k: int) -> None:
 
 
 def _policy(tie_break: str, seed: int | None) -> tuple[str, np.random.Generator | None]:
+    actual = 0 if seed is None else int(seed)
+    if actual < 0:
+        raise ValueError(f"seed: must be >= 0, got {actual}")
     if tie_break == LEX:
         return LEX, None
     if tie_break == SEEDED:
-        actual = 0 if seed is None else int(seed)
-        if actual < 0:
-            raise ValueError(f"seed: must be >= 0, got {actual}")
         return f"seeded:{actual}", np.random.default_rng(np.random.PCG64(actual))
     raise ValueError(f"tie_break: expected '{LEX}' or '{SEEDED}', got {tie_break!r}")
 
@@ -252,12 +252,11 @@ def _satisfying_subsets(masks: list[int], k: int, n: int, limit: int) -> list[tu
 
 
 def _first_reachable(matrix: RegretMatrix, levels, k: int, tol: float):
-    """(level, covers, subset) at the first of the ascending levels that reaches every act."""
+    """(level, subset) at the first of the ascending levels that reaches every act."""
     for level in levels:
-        covers = cover_family(matrix, float(level), tol=tol)
-        found = reachability_check(covers, k, matrix.n)
+        found = reachability_check(cover_family(matrix, float(level), tol=tol), k, matrix.n)
         if found is not None:
-            return float(level), covers, found
+            return float(level), found
     raise RuntimeError("internal error: no maximin level reaches every act")
 
 
@@ -271,9 +270,10 @@ def solve_maximin(
     reachability subset is the optimum. The scan always ends: at the largest
     regret every cover is complete.
 
-    The seeded policy draws uniformly among the satisfying subsets at that
-    level which attain the optimum; when more than ORACLE_MAX_SUBSETS
-    subsets satisfy, it raises GuardExceededError instead of listing them.
+    The seeded policy draws uniformly among the optimal subsets: those that
+    satisfy the exact covers at the optimal value, listed in lexicographic
+    order. When there are more than ORACLE_MAX_SUBSETS of them, it raises
+    GuardExceededError instead of listing them.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
@@ -282,23 +282,25 @@ def solve_maximin(
         return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MAXIMIN, 1, label)
 
     values = np.sort(matrix.off_diagonal_values())
-    alpha, covers, found = _first_reachable(matrix, np.unique(values[n - k - 1:]), k, COVER_TOL)
+    alpha, found = _first_reachable(matrix, np.unique(values[n - k - 1:]), k, COVER_TOL)
     value = maximin_regret(matrix, found)
     if value != alpha:
         # The cover tolerance merged levels closer than COVER_TOL, so a
         # strictly better subset may hide between alpha and this value. The
         # first level in that window with exact covers is the true optimum.
         window = np.unique(values[(values >= alpha) & (values <= value)])
-        _, covers, found = _first_reachable(matrix, window, k, 0.0)
+        _, found = _first_reachable(matrix, window, k, 0.0)
         value = maximin_regret(matrix, found)
     if rng is not None:
-        options = _satisfying_subsets(_cover_masks(covers, n), k, n, ORACLE_MAX_SUBSETS + 1)
-        if len(options) > ORACLE_MAX_SUBSETS:
+        # T satisfies the exact covers at the optimum exactly when
+        # maximin_regret(T) <= value, that is, when T is optimal.
+        masks = _cover_masks(cover_family(matrix, value, tol=0.0), n)
+        optima = _satisfying_subsets(masks, k, n, ORACLE_MAX_SUBSETS + 1)
+        if len(optima) > ORACLE_MAX_SUBSETS:
             raise GuardExceededError(
                 f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
             )
-        best = [T for T in options if maximin_regret(matrix, T) == value]
-        found = best[int(rng.integers(len(best)))]
+        found = optima[int(rng.integers(len(optima)))]
     return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
 
 
@@ -378,6 +380,7 @@ def budgeted_rule(
     already contains every maximal act); otherwise the optimal subset.
     """
     _validate_k(k)
+    _policy(tie_break, seed)  # reject a bad policy even when the budget fits every act
     base = _base_criterion(criterion)
     if matrix.n <= k:
         return maximal_acts(matrix)

@@ -19,9 +19,7 @@ from pathlib import Path
 
 from .bench import (
     consistency_aggregate,
-    consistency_record_rows,
     negativity_aggregate,
-    negativity_record_rows,
     run_consistency_trials,
     run_negativity_trials,
     write_csv,
@@ -177,11 +175,9 @@ def build_parser() -> _Parser:
         with_k=True,
         criteria=("minimax", "maximin"),
     )
-    _add_common(
-        commands.add_parser("oracle", help="brute-force optimum with tie count"),
-        with_k=True,
-        criteria=("minimax", "maximin"),
-    )
+    oracle = commands.add_parser("oracle", help="brute-force optimum with tie count")
+    _add_common(oracle, with_k=True)
+    oracle.add_argument("--criterion", choices=("minimax", "maximin"), default="minimax")
 
     graph = commands.add_parser("graph", help="export the domination graph as DOT")
     graph.add_argument("--problem", "-p", required=True)
@@ -314,7 +310,7 @@ def _cmd_experiment(args) -> int:
         run = partial(
             run_consistency_trials, trials, config, range(args.k_min, args.k_max + 1), args.seed
         )
-        to_rows, aggregate = consistency_record_rows, consistency_aggregate
+        aggregate = consistency_aggregate
     else:
         trials = 50 if args.trials is None else args.trials
         dm_sizes = _int_list(args.dm_sizes, "--dm-sizes")
@@ -333,9 +329,9 @@ def _cmd_experiment(args) -> int:
             run_negativity_trials, trials, dm_sizes, offsets, args.seed,
             n_acts=args.acts, n_states=args.states, n_vertices=args.vertices,
         )
-        to_rows, aggregate = negativity_record_rows, negativity_aggregate
+        aggregate = negativity_aggregate
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out-dir fails before any trial
-    trial_rows = to_rows(run())
+    trial_rows = run()
     agg_rows = aggregate(trial_rows)
     trials_path = out_dir / f"{args.protocol}_trials.csv"
     agg_path = out_dir / f"{args.protocol}_aggregate.csv"

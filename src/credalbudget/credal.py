@@ -109,19 +109,19 @@ class CredalSet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_vertices(cls, vectors, *, tol: float = PMF_TOL) -> "CredalSet":
-        """Build from explicit pmf vertices, renormalizing within `tol`."""
+    def from_vertices(cls, vectors) -> "CredalSet":
+        """Build from explicit pmf vertices, renormalizing within PMF_TOL."""
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ValueError("credal.vertices: expected a nonempty list of pmf vectors")
         if not np.isfinite(arr).all():
             bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
             raise ValueError(f"credal.vertices[{bad}]: probability mass must be finite")
-        if np.min(arr) < -tol:
+        if np.min(arr) < -PMF_TOL:
             bad = int(np.argmin(np.min(arr, axis=1)))
             raise ValueError(f"credal.vertices[{bad}]: negative probability mass")
         sums = arr.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > tol:
+        if np.max(np.abs(sums - 1.0)) > PMF_TOL:
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"credal.vertices[{bad}]: mass sums to {sums[bad]}, not 1")
         arr = np.clip(arr, 0.0, None)

@@ -164,18 +164,18 @@ def maximin_regret(matrix: RegretMatrix, subset) -> float:
     return float(block.min(axis=0).max())
 
 
-def maximal_acts(matrix: RegretMatrix, *, tol: float = MAXIMALITY_TOL) -> tuple[int, ...]:
+def maximal_acts(matrix: RegretMatrix) -> tuple[int, ...]:
     """Acts not strictly dominated by any other act.
 
-    Act i stays when every challenger j satisfies
-    upper expectation of (payoff_i - payoff_j) >= -tol, i.e. no j makes the
-    lower expectation of (payoff_j - payoff_i) positive. The slack absorbs
+    Act i stays when every challenger j satisfies upper expectation of
+    (payoff_i - payoff_j) >= -MAXIMALITY_TOL, i.e. no j makes the lower
+    expectation of (payoff_j - payoff_i) positive. The slack absorbs
     LP rounding so a genuinely maximal act is never dropped. Never empty.
     """
     shielded = matrix.entries.copy()
     np.fill_diagonal(shielded, np.inf)
     # column i of entries collects the upper expectations of (payoff_i - payoff_j)
-    keep = shielded.min(axis=0) >= -tol
+    keep = shielded.min(axis=0) >= -MAXIMALITY_TOL
     return tuple(int(i) for i in np.flatnonzero(keep))
 
 

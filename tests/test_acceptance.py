@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from conftest import random_matrix
-from credalbudget.bench import run_consistency_trials, run_negativity_trials
+from credalbudget.bench import RULES, run_consistency_trials, run_negativity_trials
 from credalbudget.budget import (
     Criterion,
     oracle_optima,
@@ -301,29 +301,29 @@ def test_criterion_7_experiment_trends():
     failures: list[str] = []
 
     config = GenConfig(n_acts=20, n_states=5, n_vertices=20, target_dm=6, seed=0)
-    records = run_consistency_trials(100, config, range(2, 7), master_seed=20240817)
-    for record in records:
-        for rule, ok in record.weak.items():
-            if not ok:
-                failures.append(f"weak consistency broken for {rule} at k={record.k}")
-        if record.k >= record.dm_size and record.values["exact_maximin"] >= 0:
-            failures.append(f"maximin value nonnegative at k={record.k} >= dm")
+    rows = run_consistency_trials(100, config, range(2, 7), master_seed=20240817)
+    for row in rows:
+        for rule in RULES:
+            if not row[f"{rule}_weak"]:
+                failures.append(f"weak consistency broken for {rule} at k={row['k']}")
+        if row["k"] >= row["dm_size"] and row["exact_maximin_value"] >= 0:
+            failures.append(f"maximin value nonnegative at k={row['k']} >= dm")
 
-    at_six = [r for r in records if r.k == 6]
-    strong_star = sum(r.strong["exact_minimax"] for r in at_six)
-    strong_plus = sum(r.strong["exact_maximin"] for r in at_six)
-    strong_greedy = sum(r.strong["greedy_maximin"] for r in at_six)
+    at_six = [r for r in rows if r["k"] == 6]
+    strong_star = sum(r["exact_minimax_strong"] for r in at_six)
+    strong_plus = sum(r["exact_maximin_strong"] for r in at_six)
+    strong_greedy = sum(r["greedy_maximin_strong"] for r in at_six)
     if not strong_plus > strong_star:
         failures.append(f"k=6 strong rates: maximin {strong_plus} <= minimax {strong_star}")
     if not strong_greedy < strong_plus:
         failures.append(f"k=6 strong rates: greedy {strong_greedy} >= exact {strong_plus}")
 
     negativity = run_negativity_trials(50, (2, 5, 10), (0, 1, 2, 3), master_seed=7)
-    for record in negativity:
-        if not record.maximin_negative:
+    for row in negativity:
+        if not row["maximin_negative"]:
             failures.append(
-                f"maximin value {record.maximin_value!r} not negative at "
-                f"k={record.k} >= dm={record.dm_size}"
+                f"maximin value {row['maximin_value']!r} not negative at "
+                f"k={row['k']} >= dm={row['dm_size']}"
             )
 
     _finish(7, "experiment trends", failures, time.monotonic() - start, 900.0)

@@ -1,10 +1,9 @@
 import pytest
 
 from credalbudget.bench import (
+    RULES,
     consistency_aggregate,
-    consistency_record_rows,
     negativity_aggregate,
-    negativity_record_rows,
     read_csv,
     run_consistency_trials,
     run_negativity_trials,
@@ -28,58 +27,56 @@ def test_trial_seeds_deterministic():
 
 def test_records_shape(small_run):
     assert len(small_run) == 6 * 3
-    ks = {r.k for r in small_run}
+    ks = {r["k"] for r in small_run}
     assert ks == {2, 3, 4}
-    for record in small_run:
-        assert record.dm_size == 3
-        for rule, subset in record.subsets.items():
-            assert len(subset) == record.k
-            assert record.values[rule] == pytest.approx(record.values[rule])
-        assert record.values["exact_minimax"] >= record.values["exact_maximin"]
+    for row in small_run:
+        assert row["dm_size"] == 3
+        for rule in RULES:
+            assert len(row[f"{rule}_subset"].split()) == row["k"]
+            assert row[f"{rule}_value"] == pytest.approx(row[f"{rule}_value"])
+        assert row["exact_minimax_value"] >= row["exact_maximin_value"]
 
 
 def test_structural_invariants(small_run):
-    for record in small_run:
+    for row in small_run:
         # weak consistency holds for every rule on every instance
-        assert all(record.weak.values())
-        for rule in record.strong:
-            assert not record.strong[rule] or record.weak[rule]
-            assert 0.0 <= record.overlap_dm[rule] <= 1.0
+        assert all(row[f"{rule}_weak"] for rule in RULES)
+        for rule in RULES:
+            assert not row[f"{rule}_strong"] or row[f"{rule}_weak"]
+            assert 0.0 <= row[f"{rule}_dm_overlap"] <= 1.0
         # both greedy selections coincide
-        assert record.subsets["greedy_minimax"] == record.subsets["greedy_maximin"]
+        assert row["greedy_minimax_subset"] == row["greedy_maximin_subset"]
         # at budgets >= the maximality count the maximin optimum is negative
-        if record.k >= record.dm_size:
-            assert record.values["exact_maximin"] < 0.0
+        if row["k"] >= row["dm_size"]:
+            assert row["exact_maximin_value"] < 0.0
 
 
 def test_single_trial_percentages_are_zero_or_hundred():
-    records = run_consistency_trials(1, SMALL, range(2, 4), master_seed=3)
-    for row in consistency_aggregate(consistency_record_rows(records)):
+    rows = run_consistency_trials(1, SMALL, range(2, 4), master_seed=3)
+    for row in consistency_aggregate(rows):
         for key in ("weak_pct", "strong_pct"):
             assert row[key] in (0.0, 100.0)
 
 
 def test_aggregate_matches_recomputation_from_csv(tmp_path, small_run):
-    rows = consistency_record_rows(small_run)
     path = tmp_path / "trials.csv"
-    write_csv(path, rows)
+    write_csv(path, small_run)
     again = consistency_aggregate(read_csv(path))
-    assert again == consistency_aggregate(rows)
+    assert again == consistency_aggregate(small_run)
 
 
 def test_negativity_protocol(tmp_path):
-    records = run_negativity_trials(
+    rows = run_negativity_trials(
         4, (2, 3), (0, 1), master_seed=23, n_acts=8, n_states=3, n_vertices=4
     )
-    assert len(records) == 4 * 2 * 2
-    for record in records:
-        assert record.k >= record.dm_size
-        assert record.maximin_negative  # structural at k >= |D_M|
-        assert record.maximin_value <= record.minimax_value
-        if record.values_equal:
-            assert abs(record.minimax_value - record.maximin_value) <= 1e-9
+    assert len(rows) == 4 * 2 * 2
+    for row in rows:
+        assert row["k"] >= row["dm_size"]
+        assert row["maximin_negative"]  # structural at k >= |D_M|
+        assert row["maximin_value"] <= row["minimax_value"]
+        if row["values_equal"]:
+            assert abs(row["minimax_value"] - row["maximin_value"]) <= 1e-9
 
-    rows = negativity_record_rows(records)
     path = tmp_path / "neg.csv"
     write_csv(path, rows)
     assert negativity_aggregate(read_csv(path)) == negativity_aggregate(rows)

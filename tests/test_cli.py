@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -183,6 +184,16 @@ def test_oracle_reports_ties(capsys, problem_dir):
     assert out.strip() == "{a1, a2, a3}  value 1  ties 2"
 
 
+@pytest.mark.parametrize(
+    "flags", [["--tie-break", "seeded"], ["--seed", "5"]], ids=["tie-break", "seed"]
+)
+def test_oracle_takes_no_tie_break_flags(capsys, problem_dir, flags):
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--problem", str(problem_dir / "intro.json"), "--k", "3", *flags])
+    assert info.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_solve_json_format(capsys, problem_dir):
     code, out, _ = run_cli(
         capsys, "solve", "--problem", str(problem_dir / "sixacts.json"),
@@ -298,12 +309,22 @@ def test_seeded_solve(capsys, problem_dir):
     assert "value 1" in out
 
 
-@pytest.mark.parametrize("command", ["solve", "decide"])
-@pytest.mark.parametrize("criterion", ["minimax", "maximin"])
-def test_negative_seed_exits_one_naming_seed(capsys, problem_dir, command, criterion):
+NEGATIVE_SEED_CASES = [
+    pytest.param(command, "2", criterion, "seeded", id=f"{criterion}-{command}")
+    for criterion in ("minimax", "maximin")
+    for command in ("solve", "decide")
+] + [
+    # sixacts has 6 acts: the rule keeps the maximality set without a solver
+    pytest.param("decide", "6", "maximin", "seeded", id="maximin-decide-k-at-n"),
+    pytest.param("solve", "2", "minimax", "lex", id="minimax-solve-lex"),
+]
+
+
+@pytest.mark.parametrize(("command", "k", "criterion", "tie_break"), NEGATIVE_SEED_CASES)
+def test_negative_seed_exits_one_naming_seed(capsys, problem_dir, command, k, criterion, tie_break):
     code, out, err = run_cli(
-        capsys, command, "--problem", str(problem_dir / "sixacts.json"), "--k", "2",
-        "--criterion", criterion, "--tie-break", "seeded", "--seed", "-1",
+        capsys, command, "--problem", str(problem_dir / "sixacts.json"), "--k", k,
+        "--criterion", criterion, "--tie-break", tie_break, "--seed", "-1",
     )
     assert (code, out) == (1, "")
     assert err == "error: seed: must be >= 0, got -1\n"
@@ -404,6 +425,34 @@ def test_experiment_smoke(capsys, tmp_path):
         again = tmp_path / f"{protocol}_again.csv"
         write_csv(again, aggregate(read_csv(tmp_path / f"{protocol}_trials.csv")))
         assert again.read_bytes() == (tmp_path / f"{protocol}_aggregate.csv").read_bytes()
+
+
+# sha256 of the experiment CSVs at one small shape per protocol; any change
+# to a trial cell, a column or the aggregate shows up here.
+EXPERIMENT_SHA256 = {
+    "consistency_trials.csv": "3ad459d0dee00b2625c173a6f94731fb9f204d826e215f4f237bb2125ca6e9dd",
+    "consistency_aggregate.csv": "88eee4edd04660802588ba244519f7351c479afb640f81a6605e7624d722faa7",
+    "negativity_trials.csv": "414255946aaf3b594a143ecd7e9aac9834603bc4cc7df42acefa8b6f0f15c880",
+    "negativity_aggregate.csv": "a0b102d61b3044fcc14b29f75fb826390acc84f9665cbcaa44186e7888bb11d9",
+}
+
+
+@pytest.mark.parametrize(
+    ("protocol", "flags"),
+    [
+        ("consistency", ["--target-dm", "3", "--k-min", "2", "--k-max", "4"]),
+        ("negativity", ["--dm-sizes", "2,3", "--offsets", "0,1"]),
+    ],
+)
+def test_experiment_csv_bytes_pinned(capsys, tmp_path, protocol, flags):
+    code, _, _ = run_cli(
+        capsys, "experiment", "--protocol", protocol, "--trials", "3", "--seed", "5",
+        "--acts", "8", "--states", "3", "--vertices", "4", *flags, "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    for kind in ("trials", "aggregate"):
+        name = f"{protocol}_{kind}.csv"
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == EXPERIMENT_SHA256[name]
 
 
 NON_FINITE_MATRIX = '{"matrix": [[0, NaN, 1], [2, 0, 3], [1, Infinity, 0]]}'

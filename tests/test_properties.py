@@ -8,6 +8,7 @@ from conftest import random_matrix
 from credalbudget.budget import (
     Criterion,
     cover_family,
+    oracle_optima,
     oracle_solve,
     reachability_check,
     solve_maximin,
@@ -16,6 +17,7 @@ from credalbudget.budget import (
 from credalbudget.credal import CredalSet, LinearConstraint
 from credalbudget.regret import (
     NEG_INFINITY,
+    RegretMatrix,
     maximal_acts,
     maximin_regret,
     minimax_regret,
@@ -128,6 +130,28 @@ def test_solver_outputs_meet_oracle_and_consistency(seed, k):
     if k == 1:
         assert set(star.subset) <= dm
         assert set(plus.subset) <= dm
+
+
+@st.composite
+def tied_matrix(draw):
+    """Entries from -2..2 (+-0.0 both), so ties are everywhere; optionally
+    2e-13 added to some off-diagonal entries, below the cover tolerance."""
+    n = draw(st.integers(2, 8))
+    cell = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    entries = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        bump = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        entries = entries + 2e-13 * (bump.reshape(n, n) & ~np.eye(n, dtype=bool))
+    return RegretMatrix(tuple(f"a{i}" for i in range(n)), entries)
+
+
+@settings(max_examples=400, **COMMON)
+@given(tied_matrix(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_seeded_maximin_draws_from_oracle_optima(matrix, k, seed):
+    k = min(k, matrix.n)
+    optima = oracle_optima(matrix, k, Criterion.MAXIMIN)
+    pick = np.random.default_rng(np.random.PCG64(seed)).integers(len(optima))
+    assert solve_maximin(matrix, k, tie_break="seeded", seed=seed).subset == optima[pick]
 
 
 @settings(max_examples=60, **COMMON)
