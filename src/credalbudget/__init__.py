@@ -22,7 +22,7 @@ from .budget import (
 from .credal import Act, CredalSet, LinearConstraint, StateSpace
 from .errors import GuardExceededError, InfeasibleCredalError, ProblemFormatError
 from .gen import GenConfig, generate_instance, sample_simplex
-from .problemio import Problem, load_problem, problem_from_dict, problem_to_dict
+from .problemio import Problem, load_problem, problem_from_dict
 from .regret import (
     NEG_INFINITY,
     RegretMatrix,
@@ -61,7 +61,6 @@ __all__ = [
     "oracle_optima",
     "oracle_solve",
     "problem_from_dict",
-    "problem_to_dict",
     "reachability_check",
     "regret_matrix",
     "sample_simplex",

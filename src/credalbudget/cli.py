@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -106,9 +105,13 @@ def _emit_matrix(matrix, fmt: str) -> None:
         _print_table(rows)
 
 
+def _print_csv(*rows) -> None:
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
 def _emit_names(names, fmt: str, key: str) -> None:
     if fmt == "csv":
-        print(",".join(names))
+        _print_csv(names)
     elif fmt == "json":
         print(json.dumps({key: list(names)}, indent=2))
     else:
@@ -117,28 +120,18 @@ def _emit_names(names, fmt: str, key: str) -> None:
 
 def _emit_solution(solution, names, fmt: str) -> None:
     chosen = [names[i] for i in solution.subset]
+    fields = {
+        "subset": chosen,
+        "value": _data_value(solution.value),
+        "criterion": solution.criterion.value,
+        "tie_count": solution.tie_count,
+        "tie_break": solution.tie_break,
+    }
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["subset", "value", "criterion", "tie_count", "tie_break"])
-        writer.writerow(
-            [" ".join(chosen), _data_value(solution.value), solution.criterion.value,
-             solution.tie_count, solution.tie_break]
-        )
-        sys.stdout.write(buf.getvalue())
+        row = dict(fields, subset=" ".join(chosen))
+        _print_csv(row.keys(), row.values())
     elif fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "subset": chosen,
-                    "value": _data_value(solution.value),
-                    "criterion": solution.criterion.value,
-                    "tie_count": solution.tie_count,
-                    "tie_break": solution.tie_break,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(fields, indent=2))
     else:
         line = f"{_name_set(chosen)}  value {_table_value(solution.value)}"
         if solution.criterion in (Criterion.ORACLE_MINIMAX, Criterion.ORACLE_MAXIMIN):
@@ -163,28 +156,33 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="credalbudget", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(commands.add_parser("matrix", help="print the pairwise regret table"), with_k=False)
-    _add_common(commands.add_parser("maximality", help="print the undominated acts"), with_k=False)
+    def command(name: str, run, help: str) -> _Parser:
+        sub = commands.add_parser(name, help=help)
+        sub.set_defaults(run=run)
+        return sub
+
+    _add_common(command("matrix", _cmd_matrix, "print the pairwise regret table"), with_k=False)
+    _add_common(command("maximality", _cmd_maximality, "print the undominated acts"), with_k=False)
     _add_common(
-        commands.add_parser("solve", help="optimal size-k subset for a criterion"),
+        command("solve", _cmd_solve, "optimal size-k subset for a criterion"),
         with_k=True,
         criteria=("minimax", "maximin", "greedy-minimax", "greedy-maximin"),
     )
     _add_common(
-        commands.add_parser("decide", help="apply the k-budgeted decision rule"),
+        command("decide", _cmd_decide, "apply the k-budgeted decision rule"),
         with_k=True,
         criteria=("minimax", "maximin"),
     )
-    oracle = commands.add_parser("oracle", help="brute-force optimum with tie count")
+    oracle = command("oracle", _cmd_oracle, "brute-force optimum with tie count")
     _add_common(oracle, with_k=True)
     oracle.add_argument("--criterion", choices=("minimax", "maximin"), default="minimax")
 
-    graph = commands.add_parser("graph", help="export the domination graph as DOT")
+    graph = command("graph", _cmd_graph, "export the domination graph as DOT")
     graph.add_argument("--problem", "-p", required=True)
     graph.add_argument("--alpha", type=float, required=True, help="cover level")
     graph.add_argument("--output", "-o", default=None, help="write DOT here instead of stdout")
 
-    exp = commands.add_parser("experiment", help="run a randomized experiment protocol")
+    exp = command("experiment", _cmd_experiment, "run a randomized experiment protocol")
     exp.add_argument("--protocol", choices=("consistency", "negativity"), required=True)
     exp.add_argument("--trials", type=int, default=None, help="default: 100 consistency, 50 negativity")
     exp.add_argument("--seed", type=int, default=0)
@@ -198,7 +196,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--dm-sizes", default="2,5,10", help="negativity protocol only")
     exp.add_argument("--offsets", default="0,1,2,3", help="negativity protocol only")
 
-    examples = commands.add_parser("examples", help="verify bundled instances")
+    examples = command("examples", _cmd_examples, "verify bundled instances")
     examples.add_argument("--only", default=None, help="verify a single instance")
     examples.add_argument("--dump", default=None, help="write bundled problem files to a directory")
 
@@ -371,22 +369,13 @@ def _cmd_examples(args) -> int:
     return EXIT_MALFORMED if failed else EXIT_OK
 
 
-_HANDLERS = {
-    "matrix": _cmd_matrix,
-    "maximality": _cmd_maximality,
-    "solve": _cmd_solve,
-    "decide": _cmd_decide,
-    "oracle": _cmd_oracle,
-    "graph": _cmd_graph,
-    "experiment": _cmd_experiment,
-    "examples": _cmd_examples,
-}
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except InfeasibleCredalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -61,9 +61,6 @@ class Act:
         if not all(np.isfinite(self.payoffs)):
             raise ValueError(f"act {self.name!r}: payoffs must all be finite")
 
-    def payoff_array(self) -> np.ndarray:
-        return np.asarray(self.payoffs, dtype=float)
-
 
 @dataclass(frozen=True)
 class LinearConstraint:
@@ -94,13 +91,11 @@ class CredalSet:
         dimension: int,
         *,
         vertices: np.ndarray | None = None,
-        constraints: tuple[LinearConstraint, ...] | None = None,
         a_ub: np.ndarray | None = None,
         b_ub: np.ndarray | None = None,
     ):
         self.dimension = dimension
         self._vertices = vertices
-        self.constraints = constraints
         self._a_ub = a_ub
         self._b_ub = b_ub
         if vertices is not None:
@@ -152,7 +147,7 @@ class CredalSet:
         b_ub = np.array(b_list)
         a_ub.setflags(write=False)
         b_ub.setflags(write=False)
-        made = cls(dimension, constraints=rows, a_ub=a_ub, b_ub=b_ub)
+        made = cls(dimension, a_ub=a_ub, b_ub=b_ub)
         try:
             made.upper_expectation(np.zeros(dimension))
         except simplex.Infeasible as exc:

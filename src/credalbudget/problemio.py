@@ -1,4 +1,4 @@
-"""Problem-file loading, validation, and serialization.
+"""Problem-file loading and validation.
 
 A problem is JSON with states, named acts, and a credal set in vertex or
 constraint form; constraint form implies the simplex conditions, which files
@@ -187,20 +187,3 @@ def load_problem(path) -> Problem:
         raise ProblemFormatError(f"problem file {p}: invalid JSON ({exc})") from exc
     return problem_from_dict(data)
 
-
-def problem_to_dict(acts, credal: CredalSet, states: StateSpace) -> dict:
-    """Serialize an instance to the problem-file structure."""
-    out: dict = {
-        "states": list(states.labels),
-        "acts": [{"name": a.name, "payoffs": list(a.payoffs)} for a in acts],
-    }
-    if credal.is_vertex_form:
-        out["credal"] = {"vertices": [list(map(float, v)) for v in credal.vertices]}
-    else:
-        out["credal"] = {
-            "constraints": [
-                {"coeffs": list(c.coeffs), "relation": c.relation, "rhs": c.rhs}
-                for c in credal.constraints
-            ]
-        }
-    return out

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -173,6 +174,19 @@ def test_maximality_formats(capsys, problem_dir):
     )
     assert code == 0
     assert json.loads(out) == {"maximality": ["a1", "a2", "a3", "a4"]}
+
+
+@pytest.mark.parametrize("argv", [["maximality"], ["decide", "--k", "2"]], ids=["maximality", "decide"])
+def test_csv_names_read_back(capsys, tmp_path, argv):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "states": ["w1", "w2"],
+        "acts": [{"name": "a,1", "payoffs": [1, 0]}, {"name": 'b"2', "payoffs": [0, 1]}],
+        "credal": {"vertices": [[1, 0], [0, 1]]},
+    }))
+    code, out, _ = run_cli(capsys, *argv, "--problem", str(path), "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(out.splitlines())) == [["a,1", 'b"2']]
 
 
 def test_oracle_reports_ties(capsys, problem_dir):
@@ -395,6 +409,37 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--k", "2"])  # --problem missing
     assert info.value.code == 1
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, problem_dir):
+    p = ["--problem", str(problem_dir / "sixacts.json")]
+    argvs = [
+        ["solve", *p, "--k", "2", "--tie-break", "seeded", "--seed", "7"],
+        ["solve", *p, "--k", "2"],
+        ["solve", *p, "--k", "3", "--format", "json"],
+        ["solve", *p, "--k", "3"],
+        ["solve", *p, "--k", "2", "--criterion", "maximin"],
+        ["oracle", *p, "--k", "2"],
+        ["solve", *p],  # --k missing: usage error
+        ["matrix", *p, "--format", "json"],
+        ["matrix", *p],
+        ["decide", *p, "--k", "2", "--criterion", "maximin", "--tie-break", "seeded"],
+        ["decide", *p, "--k", "2", "--criterion", "maximin"],
+    ]
+
+    def run_all(order):
+        results = {}
+        for argv in order:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results[tuple(argv)] = (code, capsys.readouterr().out)
+        return results
+
+    forward = run_all(argvs)
+    assert forward == run_all(argvs[::-1])
+    assert [code for code, _ in forward.values()] == [0] * 6 + [1] + [0] * 4
 
 
 def test_experiment_smoke(capsys, tmp_path):

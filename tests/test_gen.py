@@ -82,13 +82,15 @@ def test_retry_guard_exhausts(monkeypatch):
 
 
 def test_generated_instance_serializes_to_problem_file():
-    from credalbudget.credal import StateSpace
-    from credalbudget.problemio import problem_from_dict, problem_to_dict
+    from credalbudget.problemio import problem_from_dict
 
     config = GenConfig(n_acts=5, n_states=3, n_vertices=4, seed=21)
     acts, credal = generate_instance(config)
-    states = StateSpace(tuple(f"w{i + 1}" for i in range(config.n_states)))
-    data = problem_to_dict(acts, credal, states)
+    data = {
+        "states": [f"w{i + 1}" for i in range(config.n_states)],
+        "acts": [{"name": a.name, "payoffs": list(a.payoffs)} for a in acts],
+        "credal": {"vertices": credal.vertices.tolist()},
+    }
     loaded = problem_from_dict(data)
     assert loaded.act_names == tuple(a.name for a in acts)
     direct = regret_matrix(acts, credal)

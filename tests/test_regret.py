@@ -137,7 +137,7 @@ def test_shared_credal_set_is_thread_safe(problems):
 
     credal = problems["finance"].credal
     acts = problems["finance"].acts
-    gambles = [acts[j].payoff_array() - acts[i].payoff_array()
+    gambles = [np.subtract(acts[j].payoffs, acts[i].payoffs)
                for i in range(4) for j in range(4) if i != j]
     sequential = [credal.upper_expectation(g) for g in gambles]
     with ThreadPoolExecutor(max_workers=8) as pool:
