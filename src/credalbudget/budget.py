@@ -23,6 +23,7 @@ import numpy as np
 from .errors import GuardExceededError
 from .regret import (
     NEG_INFINITY,
+    REGRET_BLOCK_FLOATS,
     RegretMatrix,
     maximal_acts,
     maximin_regret,
@@ -392,6 +393,17 @@ def budgeted_rule(
 
 
 def _oracle_scan(matrix: RegretMatrix, k: int, criterion):
+    """(value, optima): the optimal value and every optimal subset, in lex order.
+
+    Walks itertools.combinations in chunks of c subsets, with c * size * n
+    at most REGRET_BLOCK_FLOATS floats, and scores a chunk in one pass:
+    block[j, m, t] holds entries[i, j] for the m-th member i of subset t,
+    and a -inf penalty hides the columns of members. Minimax is then a max
+    over the outsiders j and a min over the members; maximin a min over the
+    members and a max over the outsiders. Only the subsets that tie the
+    running minimum are kept. The value is the evaluator applied to the
+    lex-first optimum, so a signed zero keeps that subset's sign.
+    """
     base = _base_criterion(criterion)
     n = matrix.n
     size = min(k, n)
@@ -401,16 +413,30 @@ def _oracle_scan(matrix: RegretMatrix, k: int, criterion):
             f"oracle enumeration of {total} subsets exceeds the {ORACLE_MAX_SUBSETS} guard"
         )
     evaluator = minimax_regret if base is Criterion.MINIMAX else maximin_regret
-    best: float | None = None
+    by_column = np.ascontiguousarray(matrix.entries.T)
+    chunk = max(1, REGRET_BLOCK_FLOATS // (size * n))
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+    best = np.inf
     optima: list[tuple[int, ...]] = []
-    for combo in itertools.combinations(range(n), size):
-        value = evaluator(matrix, combo)
-        if best is None or value < best:
-            best = value
-            optima = [combo]
-        elif value == best:
-            optima.append(combo)
-    return best, optima
+    for start in range(0, total, chunk):
+        c = min(chunk, total - start)
+        members = np.fromiter(combos, np.intp, count=c * size).reshape(c, size)
+        penalty = np.zeros((n, c))
+        np.put_along_axis(penalty, members.T, NEG_INFINITY, axis=0)
+        block = by_column.take(members.T, axis=1)
+        if base is Criterion.MINIMAX:
+            block += penalty[:, None, :]
+            scores = block.max(axis=0).min(axis=0)
+        else:
+            answers = block.min(axis=1)
+            answers += penalty
+            scores = answers.max(axis=0)
+        low = scores.min()
+        if low < best:
+            best, optima = low, []
+        if low == best:
+            optima += map(tuple, members[scores == low].tolist())
+    return evaluator(matrix, optima[0]), optima
 
 
 def oracle_solve(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> BudgetSolution:

@@ -216,13 +216,14 @@ class CredalSet:
                 f"vertex enumeration limited to {ENUM_MAX_BASES} bases, got {bases}"
             )
 
-        found: list[np.ndarray] = []
-        combos = itertools.combinations(range(len(rows)), n - 1)
-        while chunk := list(itertools.islice(combos, ENUM_CHUNK)):
-            active = np.array(chunk, dtype=np.intp).reshape(len(chunk), n - 1)
-            systems = np.ones((len(chunk), n, n))
+        found = np.empty((0, n))
+        combos = itertools.chain.from_iterable(itertools.combinations(range(len(rows)), n - 1))
+        for start in range(0, bases, ENUM_CHUNK):
+            c = min(ENUM_CHUNK, bases - start)
+            active = np.fromiter(combos, np.intp, count=c * (n - 1)).reshape(c, n - 1)
+            systems = np.ones((c, n, n))
             systems[:, 1:] = rows[active]
-            targets = np.ones((len(chunk), n))
+            targets = np.ones((c, n))
             targets[:, 1:] = rhs[active]
             # slogdet's sign is 0 exactly when LU finds a zero pivot, which is
             # when solve would raise LinAlgError for that basis
@@ -236,12 +237,16 @@ class CredalSet:
             keep &= points.min(axis=1) >= -PMF_TOL
             if len(self._b_ub):
                 keep &= (points @ self._a_ub.T - self._b_ub).max(axis=1) <= PMF_TOL
-            for point in points[keep]:  # in basis order, so the first of near-duplicates stays
-                gap = np.abs(np.asarray(found) - point).max(axis=1).min() if found else np.inf
-                if gap > VERTEX_DEDUP_TOL:
-                    found.append(point)
-        if not found:
+            points = points[keep]
+            gaps = np.abs(points[:, None, :] - found).max(axis=2)  # (points, vertices so far)
+            points = points[(gaps > VERTEX_DEDUP_TOL).all(axis=1)]
+            near = (np.abs(points[:, None, :] - points).max(axis=2) <= VERTEX_DEDUP_TOL).tolist()
+            fresh: list[int] = []
+            for i in range(len(points)):  # in basis order, so the first of near-duplicates stays
+                if not any(near[i][j] for j in fresh):
+                    fresh.append(i)
+            found = np.concatenate([found, points[fresh]])
+        if not len(found):
             raise InfeasibleCredalError("credal.constraints: polytope has no vertices")
-        out = np.array(found)
-        out.setflags(write=False)
-        return out
+        found.setflags(write=False)
+        return found

@@ -4,8 +4,10 @@ These are the per-row sorting minimax, the (V, n, n) broadcast regret
 build, the per-basis vertex enumeration and the one-LP-per-pair
 constraint-form build as they stood before each was vectorised, and the
 maximin level scan (COVER_TOL covers, the exact-cover repair window and
-both DFS walkers) as it stands before its rewrite. The differential tests
-compare the library against them; do not change them to match the library.
+both DFS walkers) as it stood before its rewrite. The brute-force oracle
+is its one-evaluation-per-subset loop, as it stood before subsets were
+scored in chunks. The differential tests compare the library against them; do not
+change them to match the library.
 """
 
 from __future__ import annotations
@@ -118,6 +120,15 @@ def regret_matrix_lp_reference(payoffs: np.ndarray, credal) -> np.ndarray:
             if i != j:
                 entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
     return entries
+
+
+def _minimax_value(entries: np.ndarray, subset) -> float:
+    """min over i in subset of max over j outside of entries[i, j]."""
+    chosen = sorted(set(subset))
+    complement = [j for j in range(entries.shape[0]) if j not in set(chosen)]
+    if not complement:
+        return float("-inf")
+    return float(entries[np.ix_(chosen, complement)].max(axis=1).min())
 
 
 def _maximin_value(entries: np.ndarray, subset) -> float:
@@ -265,3 +276,20 @@ def maximin_reference(entries: np.ndarray, k: int, rng) -> tuple[tuple[int, ...]
             found = best[int(rng.integers(len(best)))]
         return tuple(found), value
     raise RuntimeError("maximin level scan found no reachable value")
+
+
+def oracle_reference(entries: np.ndarray, k: int, criterion: str):
+    """(value, optima) of the oracle: every size-min(k, n) subset, lex order."""
+    n = entries.shape[0]
+    size = min(k, n)
+    evaluator = _minimax_value if criterion == "minimax" else _maximin_value
+    best: float | None = None
+    optima: list[tuple[int, ...]] = []
+    for combo in itertools.combinations(range(n), size):
+        value = evaluator(entries, combo)
+        if best is None or value < best:
+            best = value
+            optima = [combo]
+        elif value == best:
+            optima.append(combo)
+    return best, optima

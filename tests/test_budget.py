@@ -203,6 +203,30 @@ def test_oracle_tie_count(matrices):
     }
 
 
+SOLVERS = ((Criterion.MINIMAX, solve_minimax), (Criterion.MAXIMIN, solve_maximin))
+
+# (solver subset, oracle lex-first subset, oracle tie count) where they differ
+MULTILABEL_MINIMAX_TIES = {
+    6: ((1, 2, 3, 4, 5, 7), (0, 2, 3, 4, 5, 6), 2),
+    7: ((1, 2, 3, 4, 5, 6, 7), (0, 1, 3, 4, 5, 6, 7), 3),
+}
+
+
+@pytest.mark.parametrize("name", ["intro", "sixacts", "finance", "multilabel"])
+def test_solver_ties_against_oracle(matrices, name):
+    # The solvers' values equal the oracle's bit for bit; their subsets are
+    # the oracle's lex-first optimum except for two multilabel minimax budgets.
+    matrix = matrices[name]
+    for k in range(1, matrix.n):
+        for criterion, solver in SOLVERS:
+            got, want = solver(matrix, k), oracle_solve(matrix, k, criterion)
+            assert repr(got.value) == repr(want.value)
+            if name == "multilabel" and criterion is Criterion.MINIMAX and k in (6, 7):
+                assert (got.subset, want.subset, want.tie_count) == MULTILABEL_MINIMAX_TIES[k]
+            else:
+                assert got.subset == want.subset
+
+
 def test_oracle_full_budget(matrices):
     matrix = matrices["intro"]
     solution = oracle_solve(matrix, matrix.n, Criterion.MAXIMIN)

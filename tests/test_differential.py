@@ -16,6 +16,7 @@ from reference_solvers import (
     greedy_reference,
     maximin_reference,
     minimax_reference,
+    oracle_reference,
     pairwise_regret_reference,
     regret_matrix_lp_reference,
 )
@@ -23,6 +24,7 @@ from reference_solvers import (
 from credalbudget.bench import trial_seeds
 from credalbudget.budget import (
     Criterion,
+    oracle_optima,
     oracle_solve,
     solve_greedy,
     solve_maximin,
@@ -148,6 +150,54 @@ def test_maximin_matches_reference_at_negativity_size(dm):
         sol = solve_maximin(matrix, k, tie_break="seeded", seed=k)
         ref = maximin_reference(matrix.entries, k, seeded_rng(k))
         assert (sol.subset, repr(sol.value)) == _repr(ref)
+
+
+@pytest.mark.parametrize("criterion", ["minimax", "maximin"])
+def test_oracle_matches_reference(criterion):
+    # Per size: integer entries in -2..2 (ties everywhere, about half the
+    # zeros -0.0), real entries, and one integer matrix multiplied by -0.0,
+    # so every entry is a signed zero. k runs past n to the whole act set.
+    rng = np.random.default_rng(4000 + (criterion == "maximin"))
+    zero_values = 0
+    for n in range(1, 13):
+        for m in range(6):
+            if m % 2:
+                entries = rng.uniform(-5.0, 5.0, size=(n, n))
+            else:
+                entries = rng.integers(-2, 3, size=(n, n)).astype(float)
+                entries[(entries == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+                if m == 4:
+                    entries *= -0.0
+            matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), entries)
+            for k in range(1, n + 2):
+                value, optima = oracle_reference(matrix.entries, k, criterion)
+                sol = oracle_solve(matrix, k, criterion)
+                assert (sol.subset, sol.tie_count, repr(sol.value)) == (
+                    optima[0], len(optima), repr(value)
+                )
+                assert oracle_optima(matrix, k, criterion) == optima
+                if value == 0:
+                    assert np.signbit(sol.value) == np.signbit(value)
+                    zero_values += 1
+    assert zero_values > 50
+
+
+def test_oracle_memory_is_chunked():
+    # C(20, 10) = 184,756 subsets; distinct entries keep the tie list short,
+    # so the peak is the chunk temporaries. Every subset's indices at once
+    # would take about 16 MB.
+    rng = np.random.default_rng(20)
+    entries = rng.permutation(400).reshape(20, 20).astype(float)
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(20)), entries)
+    for criterion in (Criterion.MINIMAX, Criterion.MAXIMIN):
+        oracle_solve(matrix, 2, criterion)  # let numpy finish its lazy set-up
+        tracemalloc.start()
+        try:
+            oracle_solve(matrix, 10, criterion)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def random_payoffs(rng: np.random.Generator, kind: str, n_acts: int, n_states: int) -> np.ndarray:
