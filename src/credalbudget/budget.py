@@ -238,7 +238,8 @@ def _satisfying_subsets(masks: list[int], k: int, n: int, limit: int) -> list[tu
         # The acts still to pick cover at most their `remaining` largest
         # gains, so a prefix whose top gains fall short holds no hit.
         missing = (~covered) & full
-        gains = sorted(((masks[i] & missing).bit_count() for i in range(start, n)), reverse=True)
+        gains = [(m & missing).bit_count() for m in masks[start:]]
+        gains.sort(reverse=True)
         if sum(gains[:remaining]) < missing.bit_count():
             return False
         for i in range(start, n - remaining + 1):
@@ -392,17 +393,20 @@ def budgeted_rule(
     return solution.subset
 
 
-def _oracle_scan(matrix: RegretMatrix, k: int, criterion):
-    """(value, optima): the optimal value and every optimal subset, in lex order.
+def _oracle_scan(matrix: RegretMatrix, k: int, criterion, collect: bool):
+    """(value, first, count, optima): the optimal value, the lex-first optimal
+    subset, the number of optimal subsets, and, only when `collect` is set,
+    every optimal subset in lex order (else an empty list).
 
     Walks itertools.combinations in chunks of c subsets, with c * size * n
     at most REGRET_BLOCK_FLOATS floats, and scores a chunk in one pass:
     block[j, m, t] holds entries[i, j] for the m-th member i of subset t,
     and a -inf penalty hides the columns of members. Minimax is then a max
     over the outsiders j and a min over the members; maximin a min over the
-    members and a max over the outsiders. Only the subsets that tie the
-    running minimum are kept. The value is the evaluator applied to the
-    lex-first optimum, so a signed zero keeps that subset's sign.
+    members and a max over the outsiders. Each chunk adds its ties at the
+    running minimum to a count, so memory stays one chunk unless the optima
+    are collected. The value is the evaluator applied to the lex-first
+    optimum, so a signed zero keeps that subset's sign.
     """
     base = _base_criterion(criterion)
     n = matrix.n
@@ -416,7 +420,7 @@ def _oracle_scan(matrix: RegretMatrix, k: int, criterion):
     by_column = np.ascontiguousarray(matrix.entries.T)
     chunk = max(1, REGRET_BLOCK_FLOATS // (size * n))
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), size))
-    best = np.inf
+    best, first, count = np.inf, (), 0
     optima: list[tuple[int, ...]] = []
     for start in range(0, total, chunk):
         c = min(chunk, total - start)
@@ -432,29 +436,31 @@ def _oracle_scan(matrix: RegretMatrix, k: int, criterion):
             answers += penalty
             scores = answers.max(axis=0)
         low = scores.min()
+        tied = scores == low
         if low < best:
-            best, optima = low, []
+            best, first, count, optima = low, tuple(members[tied.argmax()].tolist()), 0, []
         if low == best:
-            optima += map(tuple, members[scores == low].tolist())
-    return evaluator(matrix, optima[0]), optima
+            count += int(np.count_nonzero(tied))
+            if collect:
+                optima += map(tuple, members[tied].tolist())
+    return evaluator(matrix, first), first, count, optima
 
 
 def oracle_solve(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> BudgetSolution:
     """Exhaustive reference solver: exact optimum, lex-first subset, tie count."""
     _validate_k(k)
     base = _base_criterion(criterion)
-    value, optima = _oracle_scan(matrix, k, base)
+    value, first, count, _ = _oracle_scan(matrix, k, base, collect=False)
     out_crit = (
         Criterion.ORACLE_MINIMAX if base is Criterion.MINIMAX else Criterion.ORACLE_MAXIMIN
     )
-    return BudgetSolution(optima[0], value, out_crit, len(optima), LEX)
+    return BudgetSolution(first, value, out_crit, count, LEX)
 
 
 def oracle_optima(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> list[tuple[int, ...]]:
     """All optimal subsets of size min(k, n) for the criterion."""
     _validate_k(k)
-    _, optima = _oracle_scan(matrix, k, criterion)
-    return optima
+    return _oracle_scan(matrix, k, criterion, collect=True)[3]
 
 
 def domination_graph_dot(matrix: RegretMatrix, alpha: float) -> str:

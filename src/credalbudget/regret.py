@@ -55,21 +55,38 @@ class RegretMatrix:
 def pairwise_regret_from_vertices(vertices: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     """Vectorized entries[i, j] = max over vertices of E_v(a_j) - E_v(a_i).
 
-    Output rows go through in blocks of at most
-    REGRET_BLOCK_FLOATS / (n_vertices * n_acts) rows (at least one), each
-    reduced over the vertices straight into its rows of the result, so
-    memory is the n_acts**2 output plus one temporary of about 1 MiB (of
-    n_vertices * n_acts floats when one row needs more); small problems take
-    a single block. The max is exact, so the block size never
-    changes the result.
+    Rows go through in blocks of at most
+    REGRET_BLOCK_FLOATS / (n_vertices * n_acts) rows (at least one). A
+    block of rows i in [r0, r1) forms the differences E_v(a_j) - E_v(a_i)
+    once, only for j >= r0: their max over the vertices fills
+    entries[r0:r1, r0:], and their min fills the mirrored part below the
+    block, entries[j, i] = 0.0 - min for j >= r1, since a difference and
+    its reverse differ only in sign and 0.0 - x gives +0.0 for a zero
+    difference, as the reverse subtraction does. So each unordered pair is
+    subtracted once and the bytes are those of the full max. The difference
+    block and the min block are allocated once per call and reused, so
+    memory is the n_acts**2 output plus about 1 MiB of temporaries (one
+    row's n_vertices * n_acts floats when that is more); small problems
+    take a single block and no min.
     """
     ev = vertices @ payoffs.T  # (n_vertices, n_acts)
-    n = ev.shape[1]
-    rows = max(1, REGRET_BLOCK_FLOATS // (ev.shape[0] * n))
+    n_vertices, n = ev.shape
+    rows = min(n, max(1, REGRET_BLOCK_FLOATS // (n_vertices * n)))
+    diff_buf = np.empty(n_vertices * rows * n)
+    low_buf = np.empty(rows * n if rows < n else 0)
     entries = np.empty((n, n))
     for r0 in range(0, n, rows):
-        # over v of E_v(a_j) - E_v(a_i), for i in r0:r0 + rows
-        (ev[:, None, :] - ev[:, r0:r0 + rows, None]).max(axis=0, out=entries[r0:r0 + rows])
+        r1 = min(r0 + rows, n)
+        h = r1 - r0
+        # diff[v, i - r0, j - r0] = E_v(a_j) - E_v(a_i), for i in r0:r1 and j >= r0
+        diff = diff_buf[:n_vertices * h * (n - r0)].reshape(n_vertices, h, n - r0)
+        np.subtract(ev[:, None, r0:], ev[:, r0:r1, None], out=diff)
+        diff.max(axis=0, out=entries[r0:r1, r0:])
+        if r1 < n:
+            # a min over the whole contiguous block beats one over its strided part
+            low = low_buf[:h * (n - r0)].reshape(h, n - r0)
+            diff.min(axis=0, out=low)
+            np.subtract(0.0, low[:, h:].T, out=entries[r1:, r0:r1])
     np.fill_diagonal(entries, 0.0)
     return entries
 
@@ -99,14 +116,22 @@ def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     try:
         vertices = credal.extreme_points()
     except GuardExceededError:
-        n = len(acts)
-        entries = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
-        return RegretMatrix(names, entries)
-    return RegretMatrix(names, pairwise_regret_from_vertices(vertices, payoffs))
+        vertices = None
+    # Payoffs near the float limits overflow to inf or nan here; RegretMatrix
+    # then rejects the non-finite entry, so numpy's warnings would only repeat
+    # it. The enumeration above stays outside: it never sees the payoffs, and
+    # every numpy call pays a little more under a non-default errstate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if vertices is not None:
+            entries = pairwise_regret_from_vertices(vertices, payoffs)
+        else:
+            n = len(acts)
+            entries = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
+    return RegretMatrix(names, entries)
 
 
 def worst_regret(matrix: RegretMatrix, i: int, others) -> float:

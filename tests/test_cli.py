@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
@@ -360,6 +361,47 @@ def test_exit_code_malformed(capsys, tmp_path):
     code, _, err = run_cli(capsys, "maximality", "--problem", str(notjson))
     assert code == 1
     assert "JSON" in err
+
+
+def overflowing_problem(n_states: int, credal: dict) -> dict:
+    half = n_states // 2
+    big = [1e308] * half + [-1e308] * (n_states - half)
+    return {
+        "states": [f"w{s}" for s in range(n_states)],
+        "acts": [{"name": "a", "payoffs": big}, {"name": "b", "payoffs": big[::-1]}],
+        "credal": credal,
+    }
+
+
+def interval_rows(n_states: int) -> list[dict]:
+    rows = []
+    for s in range(n_states):
+        unit = [1.0 if t == s else 0.0 for t in range(n_states)]
+        rows += [{"coeffs": unit, "relation": ">=", "rhs": 0.02},
+                 {"coeffs": unit, "relation": "<=", "rhs": 0.2}]
+    return rows
+
+
+# The vertex route overflows in the vectorised build; 14 interval states are
+# above the enumeration guard, so that route overflows inside the pairwise LPs.
+@pytest.mark.parametrize(
+    "problem",
+    [
+        overflowing_problem(2, {"vertices": [[0.5, 0.5], [1.0, 0.0]]}),
+        overflowing_problem(14, {"constraints": interval_rows(14)}),
+    ],
+    ids=["vertex", "lp"],
+)
+def test_overflowing_payoffs_exit_one_without_warnings(capsys, tmp_path, problem):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(problem))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "matrix", "--problem", str(path))
+    assert (code, out) == (1, "")
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: matrix[") and "entries must be finite" in err
 
 
 def test_exit_code_infeasible(capsys, tmp_path):

@@ -200,6 +200,21 @@ def test_oracle_memory_is_chunked():
         assert peak < 4 * 2**20
 
 
+def test_oracle_counts_ties_without_listing_them():
+    # An all-zero matrix ties every one of C(22, 11) = 705,432 subsets; as a
+    # list of tuples they would take about 100 MB.
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(22)), np.zeros((22, 22)))
+    oracle_solve(matrix, 2, Criterion.MAXIMIN)  # let numpy finish its lazy set-up
+    tracemalloc.start()
+    try:
+        sol = oracle_solve(matrix, 11, Criterion.MAXIMIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (sol.subset, sol.tie_count) == (tuple(range(11)), math.comb(22, 11))
+    assert peak < 4 * 2**20
+
+
 def random_payoffs(rng: np.random.Generator, kind: str, n_acts: int, n_states: int) -> np.ndarray:
     """Integer payoffs, real payoffs, or small integers with about half the zeros -0.0."""
     if kind == "integer":
@@ -214,12 +229,14 @@ def random_payoffs(rng: np.random.Generator, kind: str, n_acts: int, n_states: i
 # Rows are built in blocks of max(1, REGRET_BLOCK_FLOATS // (n_vertices * n_acts)):
 # one block (2, 7, 20 and 1 acts), uneven splits (100 and 333 acts at 50
 # vertices, 500 acts at 1 vertex), even splits (500 and 1000 acts at 50
-# vertices) and one row per block (500 acts at 200 vertices).
+# vertices), one row per block (500 acts at 200 vertices) and a last block
+# of one row (101 acts at 50 vertices, blocks of 25).
 @pytest.mark.parametrize(
     "n_acts, n_states, n_vertices",
     [
         (2, 2, 1), (7, 3, 4), (20, 5, 20), (100, 8, 50), (500, 8, 50),
         (1, 8, 50), (333, 8, 50), (1000, 8, 50), (500, 8, 1), (500, 8, 200),
+        (101, 8, 50),
     ],
 )
 def test_vertex_build_is_bitwise_equal(n_acts, n_states, n_vertices):
@@ -231,6 +248,27 @@ def test_vertex_build_is_bitwise_equal(n_acts, n_states, n_vertices):
             got = pairwise_regret_from_vertices(vertices, payoffs)
             want = pairwise_regret_reference(vertices, payoffs)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_acts, n_states, n_vertices",
+    [(100, 8, 50), (101, 8, 50), (500, 8, 200), (500, 4, 1)],
+)
+def test_vertex_build_mirrors_exact_zeros(n_acts, n_states, n_vertices):
+    # Each block of rows fills the rows below it from the min of its own
+    # differences. Repeated and negated act rows, spread over the blocks,
+    # put exact zero differences (of +0.0 and -0.0 payoffs) into that
+    # mirrored half; at one vertex, identical acts make every entry zero.
+    rng = np.random.default_rng(n_acts + n_vertices)
+    for _ in range(3):
+        vertices = sample_simplex(n_states, n_vertices, rng)
+        base = random_payoffs(rng, "signed-zero", (n_acts + 2) // 3, n_states)
+        payoffs = np.concatenate([base, base, -base])[rng.permutation(n_acts)]
+        if n_vertices == 1:
+            payoffs = np.concatenate([payoffs[:1]] * n_acts)
+        got = pairwise_regret_from_vertices(vertices, payoffs)
+        want = pairwise_regret_reference(vertices, payoffs)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_vertex_build_memory_is_quadratic_in_acts():
