@@ -4,11 +4,13 @@ The minimax solver is the direct polynomial selection over per-act top-k
 regret columns. The maximin solver scans candidate levels alpha upward and
 asks, per level, whether k acts can answer every outside challenger at
 regret <= alpha; that check is a dominating-set search over cover sets,
-done by a greedy pass and then a lexicographic DFS whose one pruning bound
-is the sum of the largest gains the acts still to pick can add. The same
-level scan, with exact covers, re-checks the window that the cover
-tolerance may have merged. A brute-force oracle evaluates every subset for
-cross-checking.
+done by a greedy pass and then a lexicographic DFS with two pruning bounds:
+the acts still to pick must be able to reach every act not yet covered,
+and the sum of their largest gains must reach the number of such acts.
+The DFS counts its nodes and raises GuardExceededError past
+MAXIMIN_MAX_NODES. The same level scan, with exact covers, re-checks the
+window that the cover tolerance may have merged. A brute-force oracle
+evaluates every subset for cross-checking.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .regret import (
 
 COVER_TOL = 1e-12
 ORACLE_MAX_SUBSETS = 10**6
+MAXIMIN_MAX_NODES = 10**7
 
 LEX = "lex"
 SEEDED = "seeded"
@@ -178,13 +181,18 @@ def _cover_masks(covers: CoverFamily, n: int) -> list[int]:
     return masks
 
 
-def reachability_check(covers: CoverFamily, k: int, n: int) -> tuple[int, ...] | None:
+def reachability_check(
+    covers: CoverFamily, k: int, n: int, *, nodes_left: list[int] | None = None
+) -> tuple[int, ...] | None:
     """Find T with |T| = k whose members plus their covers reach all n acts.
 
     Returns None when no such T exists. A greedy pass first picks, k times,
     the act covering the most still-uncovered acts and returns at once if
     that reaches everything; otherwise the lexicographic walker decides.
-    The greedy pass does not affect completeness.
+    The greedy pass does not affect completeness. `nodes_left` is a
+    one-element node budget shared across calls (a fresh budget of
+    MAXIMIN_MAX_NODES when omitted); the walker raises GuardExceededError
+    once it is spent.
     """
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of acts {n}")
@@ -215,34 +223,63 @@ def reachability_check(covers: CoverFamily, k: int, n: int) -> tuple[int, ...] |
                 chosen.append(next(spare))
             return tuple(sorted(chosen))
 
-    hits = _satisfying_subsets(masks, k, n, 1)
+    if nodes_left is None:
+        nodes_left = [MAXIMIN_MAX_NODES]
+    hits = _satisfying_subsets(masks, k, n, 1, nodes_left)
     return hits[0] if hits else None
 
 
-def _satisfying_subsets(masks: list[int], k: int, n: int, limit: int) -> list[tuple[int, ...]]:
-    """The first `limit` satisfying k-subsets in lexicographic order (fewer if none are left)."""
+def _satisfying_subsets(
+    masks: list[int], k: int, n: int, limit: int, nodes_left: list[int]
+) -> list[tuple[int, ...]]:
+    """The first `limit` satisfying k-subsets in lexicographic order (fewer if none are left).
+
+    Each visited node spends one unit of nodes_left[0]; the walk raises
+    GuardExceededError when the budget is spent.
+    """
     full = (1 << n) - 1
+    # reach[i] is every act that masks[i:] can cover; it only shrinks as i grows.
+    reach = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        reach[i] = reach[i + 1] | masks[i]
     hits: list[tuple[int, ...]] = []
     prefix: list[int] = []
+    left = nodes_left[0]
 
     def walk(start: int, remaining: int, covered: int) -> bool:
         """Collect the hits that extend prefix; True once `limit` are in."""
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise GuardExceededError(
+                f"maximin cover search exceeds the {MAXIMIN_MAX_NODES} node guard"
+            )
         if covered == full:
             for rest in itertools.combinations(range(start, n), remaining):
                 hits.append(tuple(prefix) + rest)
                 if len(hits) == limit:
                     return True
             return False
-        if remaining == 0:
+        missing = (~covered) & full
+        # Acts that no act still to pick covers leave this prefix without a hit.
+        if remaining == 0 or missing & ~reach[start]:
+            return False
+        if remaining == 1:
+            for i in range(start, n):
+                if not missing & ~masks[i]:
+                    hits.append((*prefix, i))
+                    if len(hits) == limit:
+                        return True
             return False
         # The acts still to pick cover at most their `remaining` largest
         # gains, so a prefix whose top gains fall short holds no hit.
-        missing = (~covered) & full
         gains = [(m & missing).bit_count() for m in masks[start:]]
         gains.sort(reverse=True)
         if sum(gains[:remaining]) < missing.bit_count():
             return False
         for i in range(start, n - remaining + 1):
+            if missing & ~reach[i]:
+                break
             prefix.append(i)
             if walk(i + 1, remaining - 1, covered | masks[i]):
                 return True
@@ -250,13 +287,15 @@ def _satisfying_subsets(masks: list[int], k: int, n: int, limit: int) -> list[tu
         return False
 
     walk(0, k, 0)
+    nodes_left[0] = left
     return hits
 
 
-def _first_reachable(matrix: RegretMatrix, levels, k: int, tol: float):
+def _first_reachable(matrix: RegretMatrix, levels, k: int, tol: float, nodes_left: list[int]):
     """(level, subset) at the first of the ascending levels that reaches every act."""
     for level in levels:
-        found = reachability_check(cover_family(matrix, float(level), tol=tol), k, matrix.n)
+        covers = cover_family(matrix, float(level), tol=tol)
+        found = reachability_check(covers, k, matrix.n, nodes_left=nodes_left)
         if found is not None:
             return float(level), found
     raise RuntimeError("internal error: no maximin level reaches every act")
@@ -276,6 +315,10 @@ def solve_maximin(
     satisfy the exact covers at the optimal value, listed in lexicographic
     order. When there are more than ORACLE_MAX_SUBSETS of them, it raises
     GuardExceededError instead of listing them.
+
+    Every cover search of one call, the seeded listing included, shares one
+    budget of MAXIMIN_MAX_NODES walker nodes; past it GuardExceededError is
+    raised instead of searching on.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
@@ -283,21 +326,23 @@ def solve_maximin(
     if k >= n:
         return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MAXIMIN, 1, label)
 
+    nodes_left = [MAXIMIN_MAX_NODES]
     values = np.sort(matrix.off_diagonal_values())
-    alpha, found = _first_reachable(matrix, np.unique(values[n - k - 1:]), k, COVER_TOL)
+    levels = np.unique(values[n - k - 1:])
+    alpha, found = _first_reachable(matrix, levels, k, COVER_TOL, nodes_left)
     value = maximin_regret(matrix, found)
     if value != alpha:
         # The cover tolerance merged levels closer than COVER_TOL, so a
         # strictly better subset may hide between alpha and this value. The
         # first level in that window with exact covers is the true optimum.
         window = np.unique(values[(values >= alpha) & (values <= value)])
-        _, found = _first_reachable(matrix, window, k, 0.0)
+        _, found = _first_reachable(matrix, window, k, 0.0, nodes_left)
         value = maximin_regret(matrix, found)
     if rng is not None:
         # T satisfies the exact covers at the optimum exactly when
         # maximin_regret(T) <= value, that is, when T is optimal.
         masks = _cover_masks(cover_family(matrix, value, tol=0.0), n)
-        optima = _satisfying_subsets(masks, k, n, ORACLE_MAX_SUBSETS + 1)
+        optima = _satisfying_subsets(masks, k, n, ORACLE_MAX_SUBSETS + 1, nodes_left)
         if len(optima) > ORACLE_MAX_SUBSETS:
             raise GuardExceededError(
                 f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"

@@ -1,11 +1,15 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
 
 from conftest import random_matrix
 from credalbudget.budget import (
+    MAXIMIN_MAX_NODES,
     Criterion,
+    _satisfying_subsets,
     budgeted_rule,
     cover_family,
     domination_graph_dot,
@@ -17,7 +21,14 @@ from credalbudget.budget import (
     solve_minimax,
 )
 from credalbudget.errors import GuardExceededError
-from credalbudget.regret import NEG_INFINITY, RegretMatrix, maximin_regret, minimax_regret
+from credalbudget.gen import GenConfig, generate_instance
+from credalbudget.regret import (
+    NEG_INFINITY,
+    RegretMatrix,
+    maximin_regret,
+    minimax_regret,
+    regret_matrix,
+)
 
 
 def names_of(matrix, subset):
@@ -130,6 +141,59 @@ def test_reachability_against_exhaustive():
             else:
                 assert len(got) == k
                 assert set().union(*(masks[i] for i in got)) == set(range(n))
+
+
+def test_satisfying_subsets_match_brute_force():
+    # The walker's prunes only cut subtrees without a hit, so its listing is
+    # the brute-force list in lex order, cut at the limit. Density 0 gives
+    # covers that reach only their own act, density 1 covers that reach all.
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(1, 11))
+        density = (0.0, 0.15, 0.3, 0.6, 1.0)[trial % 5]
+        bits = rng.random((n, n)) < density
+        masks = [(1 << i) | sum(1 << j for j in range(n) if bits[i, j]) for i in range(n)]
+        full = (1 << n) - 1
+        for k in range(1, n + 1):
+            expected = [
+                combo
+                for combo in itertools.combinations(range(n), k)
+                if functools.reduce(operator.or_, (masks[i] for i in combo)) == full
+            ]
+            for limit in (1, 3, len(expected) + 1):
+                got = _satisfying_subsets(masks, k, n, limit, [MAXIMIN_MAX_NODES])
+                assert got == expected[:limit]
+
+
+def negativity_size_matrix():
+    config = GenConfig(n_acts=20, n_states=5, n_vertices=20, seed=0)
+    return regret_matrix(*generate_instance(config))
+
+
+def test_reachability_spends_the_shared_node_budget():
+    # At the lowest level nothing reaches every act, so greedy fails and the
+    # walker visits some nodes before it answers None.
+    matrix = negativity_size_matrix()
+    covers = cover_family(matrix, float(matrix.off_diagonal_values().min()))
+    nodes_left = [1000]
+    assert reachability_check(covers, 5, matrix.n, nodes_left=nodes_left) is None
+    used = 1000 - nodes_left[0]
+    assert used > 0
+    assert reachability_check(covers, 5, matrix.n, nodes_left=[used]) is None
+    with pytest.raises(GuardExceededError, match="node guard"):
+        reachability_check(covers, 5, matrix.n, nodes_left=[used - 1])
+
+
+def test_maximin_node_guard(monkeypatch):
+    import credalbudget.budget as budget_mod
+
+    matrix = negativity_size_matrix()
+    solve_maximin(matrix, 5)  # well inside the default budget
+    monkeypatch.setattr(budget_mod, "MAXIMIN_MAX_NODES", 20)
+    with pytest.raises(GuardExceededError, match="node guard"):
+        solve_maximin(matrix, 5)
+    with pytest.raises(GuardExceededError, match="node guard"):
+        solve_maximin(matrix, 5, tie_break="seeded", seed=1)
 
 
 def test_greedy_base_case_matches_exact(matrices):

@@ -438,6 +438,22 @@ def test_seeded_maximin_tie_guard_exits_three(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: ") and "guard" in err
 
 
+def test_maximin_node_guard_exits_three(capsys, monkeypatch, tmp_path):
+    import credalbudget.budget as budget_mod
+    from credalbudget.gen import GenConfig, generate_instance
+    from credalbudget.regret import regret_matrix
+
+    monkeypatch.setattr(budget_mod, "MAXIMIN_MAX_NODES", 20)
+    config = GenConfig(n_acts=20, n_states=5, n_vertices=20, seed=0)
+    matrix = regret_matrix(*generate_instance(config))
+    pre = tmp_path / "deep.json"
+    pre.write_text(json.dumps({"matrix": matrix.entries.tolist()}))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(pre), "--k", "5",
+                             "--criterion", "maximin")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "node guard" in err
+
+
 def test_bad_k_rejected(capsys, problem_dir):
     code, _, err = run_cli(
         capsys, "solve", "--problem", str(problem_dir / "intro.json"),

@@ -1,0 +1,58 @@
+"""Maximin values against scipy's HiGHS MILP solver, at sizes past the oracle.
+
+scipy is not a dependency; the module is skipped where it is missing. At a
+level alpha, a k-subset reaches every act when, for each act j, j is picked
+or some picked i answers it with entries[i, j] <= alpha. The smallest
+off-diagonal value at which that 0/1 program is feasible is the optimal
+maximin value, so the solver must return it exactly.
+"""
+
+import numpy as np
+import pytest
+
+from credalbudget.budget import solve_maximin
+from credalbudget.gen import GenConfig, generate_instance
+from credalbudget.regret import maximin_regret, regret_matrix
+
+optimize = pytest.importorskip("scipy.optimize")
+
+
+def reachable(entries: np.ndarray, k: int, alpha: float) -> bool:
+    n = len(entries)
+    # row j: x_j + sum of x_i over the acts i that answer j at alpha >= 1
+    answers = (entries <= alpha).T
+    np.fill_diagonal(answers, True)
+    res = optimize.milp(
+        np.zeros(n),
+        constraints=[
+            optimize.LinearConstraint(answers.astype(float), lb=1.0, ub=np.inf),
+            optimize.LinearConstraint(np.ones((1, n)), lb=k, ub=k),
+        ],
+        integrality=np.ones(n),
+        bounds=optimize.Bounds(0.0, 1.0),
+    )
+    assert res.status in (0, 2), res.message  # 0 feasible, 2 infeasible
+    return res.status == 0
+
+
+def milp_maximin(entries: np.ndarray, k: int) -> float:
+    """Bisect the sorted off-diagonal values; the largest one always reaches every act."""
+    levels = np.unique(entries[~np.eye(len(entries), dtype=bool)])
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reachable(entries, k, levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_maximin_value_matches_milp(n, k):
+    config = GenConfig(n_acts=n, n_states=5, n_vertices=20, seed=n * 100 + k)
+    matrix = regret_matrix(*generate_instance(config))
+    solution = solve_maximin(matrix, k)
+    assert solution.value == milp_maximin(matrix.entries, k)
+    assert maximin_regret(matrix, solution.subset) == solution.value
