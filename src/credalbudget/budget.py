@@ -7,10 +7,13 @@ regret <= alpha; that check is a dominating-set search over cover sets,
 done by a greedy pass and then a lexicographic DFS with two pruning bounds:
 the acts still to pick must be able to reach every act not yet covered,
 and the sum of their largest gains must reach the number of such acts.
-The DFS counts its nodes and raises GuardExceededError past
-MAXIMIN_MAX_NODES. The same level scan, with exact covers, re-checks the
-window that the cover tolerance may have merged. A brute-force oracle
-evaluates every subset for cross-checking.
+Covers are int bitmasks, one per act. The DFS returns the satisfying
+subset at a given lexicographic rank: rank 0 for the lex policy, and for
+the seeded policy first a count of the optima, then the drawn one. It
+counts its nodes and raises GuardExceededError past MAXIMIN_MAX_NODES.
+The same level scan, with exact covers, re-checks the window that the
+cover tolerance may have merged. A brute-force oracle evaluates every
+subset for cross-checking.
 """
 
 from __future__ import annotations
@@ -67,14 +70,14 @@ class BudgetSolution:
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """Per-act sets of challengers answered at regret <= alpha.
+    """Per-act bitmasks of the acts answered at regret <= alpha.
 
-    sets[i] contains j exactly when entries[i, j] <= alpha + COVER_TOL;
-    an act never covers itself.
+    Bit j of masks[i] is set exactly when entries[i, j] <= alpha + COVER_TOL
+    or j == i: an act always answers for itself.
     """
 
     alpha: float
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
 
 def _validate_k(k: int) -> None:
@@ -163,22 +166,12 @@ def _minimax_impl(
 
 
 def cover_family(matrix: RegretMatrix, alpha: float, *, tol: float = COVER_TOL) -> CoverFamily:
-    """Challengers each act answers at level alpha."""
+    """Acts each act answers at level alpha, itself included."""
     within = matrix.entries <= alpha + tol
-    np.fill_diagonal(within, False)
-    acts = range(matrix.n)
-    sets = tuple(frozenset(itertools.compress(acts, row)) for row in within.tolist())
-    return CoverFamily(float(alpha), sets)
-
-
-def _cover_masks(covers: CoverFamily, n: int) -> list[int]:
-    masks = []
-    for i in range(n):
-        mask = 1 << i
-        for j in covers.sets[i]:
-            mask |= 1 << j
-        masks.append(mask)
-    return masks
+    np.fill_diagonal(within, True)
+    rows = np.packbits(within, axis=1, bitorder="little")
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return CoverFamily(float(alpha), masks)
 
 
 def reachability_check(
@@ -196,23 +189,19 @@ def reachability_check(
     """
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of acts {n}")
-    if len(covers.sets) != n:
+    masks = covers.masks
+    if len(masks) != n:
         raise ValueError("cover family size does not match n")
     if k == n:
         return tuple(range(n))
 
-    masks = _cover_masks(covers, n)
     full = (1 << n) - 1
-
     covered = 0
     chosen: list[int] = []
     for _ in range(k):
-        gains = [
-            ((masks[i] & ~covered & full).bit_count(), -i)
-            for i in range(n)
-            if i not in chosen
-        ]
-        best_gain, neg_i = max(gains)
+        # A chosen act gains nothing more, and a zero best gain ends the pass,
+        # so no act is chosen twice.
+        best_gain, neg_i = max(((m & ~covered).bit_count(), -i) for i, m in enumerate(masks))
         if best_gain == 0:
             break
         chosen.append(-neg_i)
@@ -225,14 +214,14 @@ def reachability_check(
 
     if nodes_left is None:
         nodes_left = [MAXIMIN_MAX_NODES]
-    hits = _satisfying_subsets(masks, k, n, 1, nodes_left)
-    return hits[0] if hits else None
+    return _satisfying_subsets(masks, k, n, 0, nodes_left)[0]
 
 
 def _satisfying_subsets(
-    masks: list[int], k: int, n: int, limit: int, nodes_left: list[int]
-) -> list[tuple[int, ...]]:
-    """The first `limit` satisfying k-subsets in lexicographic order (fewer if none are left).
+    masks: tuple[int, ...], k: int, n: int, rank: int, nodes_left: list[int]
+) -> tuple[tuple[int, ...] | None, int]:
+    """(hit, passed): the satisfying k-subset at 0-based lex position `rank`
+    and the hits before it, or (None, count) when there are only count hits.
 
     Each visited node spends one unit of nodes_left[0]; the walk raises
     GuardExceededError when the budget is spent.
@@ -242,53 +231,58 @@ def _satisfying_subsets(
     reach = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         reach[i] = reach[i + 1] | masks[i]
-    hits: list[tuple[int, ...]] = []
     prefix: list[int] = []
     left = nodes_left[0]
+    passed = 0
 
-    def walk(start: int, remaining: int, covered: int) -> bool:
-        """Collect the hits that extend prefix; True once `limit` are in."""
-        nonlocal left
+    def walk(start: int, remaining: int, covered: int) -> tuple[int, ...] | None:
+        """The hit at `rank` if it extends prefix; else count this prefix's hits."""
+        nonlocal left, passed
         left -= 1
         if left < 0:
             raise GuardExceededError(
                 f"maximin cover search exceeds the {MAXIMIN_MAX_NODES} node guard"
             )
         if covered == full:
-            for rest in itertools.combinations(range(start, n), remaining):
-                hits.append(tuple(prefix) + rest)
-                if len(hits) == limit:
-                    return True
-            return False
+            # Every way to fill the remaining picks is a hit.
+            tail = math.comb(n - start, remaining)
+            if rank - passed >= tail:
+                passed += tail
+                return None
+            combos = itertools.combinations(range(start, n), remaining)
+            rest = next(itertools.islice(combos, rank - passed, None))
+            passed = rank
+            return (*prefix, *rest)
         missing = (~covered) & full
         # Acts that no act still to pick covers leave this prefix without a hit.
         if remaining == 0 or missing & ~reach[start]:
-            return False
+            return None
         if remaining == 1:
             for i in range(start, n):
                 if not missing & ~masks[i]:
-                    hits.append((*prefix, i))
-                    if len(hits) == limit:
-                        return True
-            return False
+                    if passed == rank:
+                        return (*prefix, i)
+                    passed += 1
+            return None
         # The acts still to pick cover at most their `remaining` largest
         # gains, so a prefix whose top gains fall short holds no hit.
         gains = [(m & missing).bit_count() for m in masks[start:]]
         gains.sort(reverse=True)
         if sum(gains[:remaining]) < missing.bit_count():
-            return False
+            return None
         for i in range(start, n - remaining + 1):
             if missing & ~reach[i]:
                 break
             prefix.append(i)
-            if walk(i + 1, remaining - 1, covered | masks[i]):
-                return True
+            hit = walk(i + 1, remaining - 1, covered | masks[i])
+            if hit is not None:
+                return hit
             prefix.pop()
-        return False
+        return None
 
-    walk(0, k, 0)
+    hit = walk(0, k, 0)
     nodes_left[0] = left
-    return hits
+    return hit, passed
 
 
 def _first_reachable(matrix: RegretMatrix, levels, k: int, tol: float, nodes_left: list[int]):
@@ -312,11 +306,12 @@ def solve_maximin(
     regret every cover is complete.
 
     The seeded policy draws uniformly among the optimal subsets: those that
-    satisfy the exact covers at the optimal value, listed in lexicographic
-    order. When there are more than ORACLE_MAX_SUBSETS of them, it raises
-    GuardExceededError instead of listing them.
+    satisfy the exact covers at the optimal value, in lexicographic order.
+    One walk counts them, keeping O(n) extra memory, and a second walks to
+    the drawn rank. When there are more than ORACLE_MAX_SUBSETS of them, it
+    raises GuardExceededError instead of drawing.
 
-    Every cover search of one call, the seeded listing included, shares one
+    Every cover search of one call, both seeded walks included, shares one
     budget of MAXIMIN_MAX_NODES walker nodes; past it GuardExceededError is
     raised instead of searching on.
     """
@@ -341,13 +336,13 @@ def solve_maximin(
     if rng is not None:
         # T satisfies the exact covers at the optimum exactly when
         # maximin_regret(T) <= value, that is, when T is optimal.
-        masks = _cover_masks(cover_family(matrix, value, tol=0.0), n)
-        optima = _satisfying_subsets(masks, k, n, ORACLE_MAX_SUBSETS + 1, nodes_left)
-        if len(optima) > ORACLE_MAX_SUBSETS:
+        masks = cover_family(matrix, value, tol=0.0).masks
+        over, count = _satisfying_subsets(masks, k, n, ORACLE_MAX_SUBSETS, nodes_left)
+        if over is not None:
             raise GuardExceededError(
                 f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
             )
-        found = optima[int(rng.integers(len(optima)))]
+        found, _ = _satisfying_subsets(masks, k, n, int(rng.integers(count)), nodes_left)
     return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
 
 
@@ -516,8 +511,9 @@ def domination_graph_dot(matrix: RegretMatrix, alpha: float) -> str:
     lines = ["digraph domination {", f'  label="alpha = {alpha:g}";']
     for node in ids:
         lines.append(f"  {node};")
-    for i in range(matrix.n):
-        for j in sorted(covers.sets[i]):
-            lines.append(f"  {ids[i]} -> {ids[j]};")
+    for i, mask in enumerate(covers.masks):
+        for j in range(matrix.n):
+            if j != i and mask >> j & 1:
+                lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

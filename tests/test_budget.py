@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ from credalbudget.regret import (
 
 def names_of(matrix, subset):
     return {matrix.names[i] for i in subset}
+
+
+def bits_of(mask, n):
+    return {j for j in range(n) if mask >> j & 1}
+
+
+def challengers(covers, i):
+    """The acts other than i that act i answers."""
+    return bits_of(covers.masks[i], len(covers.masks)) - {i}
 
 
 def test_minimax_golden_intro(matrices):
@@ -95,14 +105,15 @@ def test_cover_family_membership(matrices):
     matrix = matrices["sixacts"]
     covers = cover_family(matrix, -1.0)
     as_names = {
-        matrix.names[i]: names_of(matrix, covers.sets[i])
+        matrix.names[i]: names_of(matrix, challengers(covers, i))
         for i in range(matrix.n)
-        if covers.sets[i]
+        if challengers(covers, i)
     }
     assert as_names == {"a3": {"a2", "a5"}, "a6": {"a4"}}
     for i in range(matrix.n):
-        assert i not in covers.sets[i]
-        for j in covers.sets[i]:
+        assert covers.masks[i] >> i & 1  # an act always answers for itself
+        assert covers.masks[i] >> matrix.n == 0
+        for j in challengers(covers, i):
             assert matrix.entries[i, j] <= covers.alpha + 1e-12
 
 
@@ -110,7 +121,7 @@ def test_cover_tolerance_boundary():
     entries = np.array([[0.0, 0.5], [0.5 + 5e-13, 0.0]])
     matrix = RegretMatrix(("x", "y"), entries)
     covers = cover_family(matrix, 0.5)
-    assert covers.sets[1] == frozenset({0})  # within the 1e-12 equality slack
+    assert challengers(covers, 1) == {0}  # within the 1e-12 equality slack
 
 
 def test_reachability_examples(matrices):
@@ -130,7 +141,7 @@ def test_reachability_against_exhaustive():
         covers = cover_family(matrix, alpha)
         for k in range(1, n + 1):
             got = reachability_check(covers, k, n)
-            masks = [set(covers.sets[i]) | {i} for i in range(n)]
+            masks = [bits_of(covers.masks[i], n) for i in range(n)]
             solutions = [
                 combo
                 for combo in itertools.combinations(range(n), k)
@@ -144,9 +155,10 @@ def test_reachability_against_exhaustive():
 
 
 def test_satisfying_subsets_match_brute_force():
-    # The walker's prunes only cut subtrees without a hit, so its listing is
-    # the brute-force list in lex order, cut at the limit. Density 0 gives
-    # covers that reach only their own act, density 1 covers that reach all.
+    # The walker's prunes only cut subtrees without a hit, so the hit at each
+    # rank is the brute-force list's entry at that rank, and one rank past the
+    # end returns the count. Density 0 gives covers that reach only their own
+    # act, density 1 covers that reach all.
     rng = np.random.default_rng(7)
     for trial in range(300):
         n = int(rng.integers(1, 11))
@@ -160,9 +172,12 @@ def test_satisfying_subsets_match_brute_force():
                 for combo in itertools.combinations(range(n), k)
                 if functools.reduce(operator.or_, (masks[i] for i in combo)) == full
             ]
-            for limit in (1, 3, len(expected) + 1):
-                got = _satisfying_subsets(masks, k, n, limit, [MAXIMIN_MAX_NODES])
-                assert got == expected[:limit]
+            for rank, combo in enumerate(expected):
+                got = _satisfying_subsets(masks, k, n, rank, [MAXIMIN_MAX_NODES])
+                assert got == (combo, rank)
+            count = len(expected)
+            got = _satisfying_subsets(masks, k, n, count, [MAXIMIN_MAX_NODES])
+            assert got == (None, count)
 
 
 def negativity_size_matrix():
@@ -347,6 +362,23 @@ def test_seeded_maximin_tie_list_guard(monkeypatch, limit, raises):
         solution = solve_maximin(matrix, 4, tie_break="seeded", seed=3)
         assert solution.value == 0.0 and len(solution.subset) == 4
     assert solve_maximin(matrix, 4).subset == (0, 1, 2, 3)  # lex stops at its first hit
+
+
+def test_seeded_maximin_draw_keeps_no_tie_list():
+    # An all-zero matrix ties every one of C(22, 11) = 705,432 subsets; as a
+    # list of tuples they would take about 90 MiB.
+    tiny = RegretMatrix(("a", "b", "c"), np.zeros((3, 3)))
+    solve_maximin(tiny, 1, tie_break="seeded", seed=1)  # let numpy finish its lazy set-up
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(22)), np.zeros((22, 22)))
+    tracemalloc.start()
+    try:
+        solution = solve_maximin(matrix, 11, tie_break="seeded", seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solution.subset == (3, 6, 7, 8, 10, 11, 12, 13, 16, 18, 21)
+    assert solution.value == 0.0
+    assert peak < 4 * 2**20
 
 
 def test_seeded_is_deterministic_per_seed(matrices):

@@ -176,10 +176,10 @@ def test_reachability_result_always_covers(seed, pick):
         found = reachability_check(covers, k, n)
         if found is not None:
             assert len(found) == k
-            reached = set(found)
+            reached = 0
             for i in found:
-                reached |= covers.sets[i]
-            assert reached == set(range(n))
+                reached |= covers.masks[i]
+            assert reached == (1 << n) - 1
             assert maximin_regret(matrix, found) <= alpha + 1e-12
 
 
