@@ -30,7 +30,6 @@ from .regret import (
     maximin_regret,
     minimax_regret,
     regret_matrix,
-    worst_regret,
 )
 
 __version__ = "0.1.0"
@@ -67,5 +66,4 @@ __all__ = [
     "solve_greedy",
     "solve_maximin",
     "solve_minimax",
-    "worst_regret",
 ]

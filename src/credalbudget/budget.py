@@ -116,53 +116,51 @@ def solve_minimax(
     k-th largest regret is smallest; its top challengers are taken in order
     of decreasing regret, lower index first among equal regrets; and the
     dropped challenger is the lowest-index one among those top challengers
-    whose regret equals the k-th largest. The returned value is row
-    i_star's k-th largest regret itself, so a signed zero keeps that row's
-    sign. The seeded policy instead draws the border challengers and both
-    picks with one generator, row by row.
+    whose regret equals the k-th largest. The seeded policy draws these
+    three choices uniformly, in that order, and only where there is more
+    than one candidate (see _row_top for the top challengers). The returned
+    value is row i_star's k-th largest regret itself, so a signed zero keeps
+    that row's sign.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
-    return _minimax_impl(matrix.entries, k, rng, label)
+    entries = matrix.entries
+    n = matrix.n
+    if k >= n:
+        return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MINIMAX, 1, label)
+    # Entries are finite, so the -inf diagonal sorts first in each row and
+    # ascending place n - k holds the k-th largest regret against the others.
+    regrets = entries.copy()
+    np.fill_diagonal(regrets, NEG_INFINITY)
+    regrets.partition(n - k, axis=1)
+    kth = regrets[:, n - k]
+    if rng is None:
+        i_star = int(np.argmin(kth))
+    else:
+        i_star = _pick((kth == kth.min()).nonzero()[0].tolist(), rng)
+    top, best, drop = _row_top(entries[i_star].tolist(), i_star, k, rng)
+    subset = sorted(({i_star} | set(top)) - {drop})
+    return BudgetSolution(tuple(subset), best, Criterion.MINIMAX, 1, label)
 
 
 def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None):
-    """Act i's k top challengers, their smallest regret, and the one to drop."""
+    """Act i's k top challengers, their smallest regret, and the one to drop.
+
+    The border is every challenger whose regret equals that smallest one.
+    Seeded draws the border's places in the top k only when the border
+    holds more acts than places; otherwise both policies take order[:k].
+    """
     order = sorted((j for j in range(len(vals)) if j != i), key=lambda j: (-vals[j], j))
     threshold = vals[order[k - 1]]
-    if rng is None:
-        top = order[:k]
-    else:
-        definite = [j for j in order[:k] if vals[j] > threshold]
-        border = [j for j in order if vals[j] == threshold]
-        extra = rng.choice(len(border), size=k - len(definite), replace=False)
-        top = definite + [border[t] for t in sorted(int(t) for t in extra)]
+    top = order[:k]
     at_min = [j for j in top if vals[j] == threshold]
+    if rng is not None:
+        border = [j for j in order if vals[j] == threshold]
+        if len(border) > len(at_min):
+            drawn = rng.choice(len(border), size=len(at_min), replace=False)
+            at_min = [border[t] for t in sorted(int(t) for t in drawn)]
+            top = top[: k - len(at_min)] + at_min
     return top, threshold, _pick(at_min, rng)
-
-
-def _minimax_impl(
-    entries: np.ndarray, k: int, rng: np.random.Generator | None, label: str
-) -> BudgetSolution:
-    n = entries.shape[0]
-    if k >= n:
-        return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MINIMAX, 1, label)
-    if rng is None:
-        # Entries are finite, so the -inf diagonal sorts first in each row and
-        # ascending place n - k holds the k-th largest regret against the others.
-        regrets = entries.copy()
-        np.fill_diagonal(regrets, NEG_INFINITY)
-        regrets.partition(n - k, axis=1)
-        i_star = int(np.argmin(regrets[:, n - k]))
-        top, best, drop = _row_top(entries[i_star].tolist(), i_star, k, None)
-    else:
-        rows = entries.tolist()
-        picks = [_row_top(rows[i], i, k, rng) for i in range(n)]
-        best = min(threshold for _, threshold, _ in picks)
-        i_star = _pick([i for i in range(n) if picks[i][1] == best], rng)
-        top, _, drop = picks[i_star]
-    subset = sorted(({i_star} | set(top)) - {drop})
-    return BudgetSolution(tuple(subset), best, Criterion.MINIMAX, 1, label)
 
 
 def cover_family(matrix: RegretMatrix, alpha: float, *, tol: float = COVER_TOL) -> CoverFamily:
@@ -363,41 +361,38 @@ def solve_greedy(
 ) -> BudgetSolution:
     """Greedy approximation: k rounds of the exact single-pick solver.
 
-    Each round solves for the single best act among the acts not yet taken
-    (challengers restricted to those same acts) and keeps the winner. The
-    reported value applies the requested evaluator to the accumulated set
-    against the full act set. Because the single-pick solvers of the two
-    criteria coincide, the selected subset is criterion-independent.
+    Each round takes the act not yet taken whose worst regret against the
+    other acts not yet taken is smallest: lex takes the lowest index among
+    ties, seeded draws one uniformly when several tie. The reported value
+    applies the requested evaluator to the accumulated set against the full
+    act set. Because the single-pick solvers of the two criteria coincide,
+    the selected subset is criterion-independent.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
     base = _base_criterion(criterion)
     n = matrix.n
     chosen: list[int] = []
-    if rng is None:
-        # One working copy for every round: a taken act is a -inf column, so
-        # it never challenges again, and gets a +inf worst regret, so it is
-        # never picked again. argmin takes the lowest index among equal
-        # worst regrets, as the single-pick solver does. Removing a column
-        # can lower a row's maximum only where that column attains it, so
-        # only those rows are recomputed; == also matches a +-0 tie, and the
-        # sign of a zero maximum never changes which act argmin picks.
-        regrets = matrix.entries.copy()
-        np.fill_diagonal(regrets, NEG_INFINITY)
-        worst = regrets.max(axis=1)
-        for _ in range(min(k, n)):
+    # One working copy for every round: a taken act is a -inf column, so it
+    # never challenges again, and gets a +inf worst regret, so it is never
+    # picked again. Removing a column can lower a row's maximum only where
+    # that column attains it, so only those rows are recomputed; == also
+    # matches a +-0 tie, and the sign of a zero maximum never changes which
+    # acts tie at the smallest worst regret.
+    regrets = matrix.entries.copy()
+    np.fill_diagonal(regrets, NEG_INFINITY)
+    worst = regrets.max(axis=1)
+    for _ in range(min(k, n)):
+        if rng is None:
             winner = int(worst.argmin())
-            chosen.append(winner)
-            column = regrets[:, winner]  # a view: fill writes the working copy
-            stale = (column == worst).nonzero()[0]
-            column.fill(NEG_INFINITY)
-            worst[stale] = regrets.take(stale, axis=0).max(axis=1)
-            worst[winner] = np.inf
-    else:
-        remaining = list(range(n))
-        for _ in range(min(k, n)):
-            sub = matrix.entries[np.ix_(remaining, remaining)]
-            chosen.append(remaining.pop(_minimax_impl(sub, 1, rng, label).subset[0]))
+        else:
+            winner = _pick((worst == worst.min()).nonzero()[0].tolist(), rng)
+        chosen.append(winner)
+        column = regrets[:, winner]  # a view: fill writes the working copy
+        stale = (column == worst).nonzero()[0]
+        column.fill(NEG_INFINITY)
+        worst[stale] = regrets.take(stale, axis=0).max(axis=1)
+        worst[winner] = np.inf
     evaluator = minimax_regret if base is Criterion.MINIMAX else maximin_regret
     out_crit = (
         Criterion.GREEDY_MINIMAX if base is Criterion.MINIMAX else Criterion.GREEDY_MAXIMIN
@@ -420,13 +415,16 @@ def budgeted_rule(
     Returns the maximality set outright when the whole act set fits the
     budget or when the optimal value is negative (the optimal subset then
     already contains every maximal act); otherwise the optimal subset.
+    Any criterion other than minimax or maximin raises ValueError.
     """
     _validate_k(k)
     _policy(tie_break, seed)  # reject a bad policy even when the budget fits every act
-    base = _base_criterion(criterion)
+    crit = Criterion(criterion)
+    if crit not in (Criterion.MINIMAX, Criterion.MAXIMIN):
+        raise ValueError(f"criterion: expected 'minimax' or 'maximin', got {crit.value!r}")
     if matrix.n <= k:
         return maximal_acts(matrix)
-    solver = solve_minimax if base is Criterion.MINIMAX else solve_maximin
+    solver = solve_minimax if crit is Criterion.MINIMAX else solve_maximin
     solution = solver(matrix, k, tie_break=tie_break, seed=seed)
     if solution.value < 0:
         return maximal_acts(matrix)

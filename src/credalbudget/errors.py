@@ -10,4 +10,4 @@ class InfeasibleCredalError(ValueError):
 
 
 class GuardExceededError(RuntimeError):
-    """A safety guard (enumeration size, retry budget) was exceeded."""
+    """A safety guard (enumeration size, retry budget, search nodes, LP pivots) was exceeded."""

@@ -134,23 +134,6 @@ def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     return RegretMatrix(names, entries)
 
 
-def worst_regret(matrix: RegretMatrix, i: int, others) -> float:
-    """Largest regret of keeping act i against any challenger in `others`.
-
-    The maximum over an empty challenger set is NEG_INFINITY.
-    """
-    other_set = set(others)
-    if not 0 <= i < matrix.n:
-        raise IndexError(f"act index {i} out of range")
-    if any(not 0 <= j < matrix.n for j in other_set):
-        raise IndexError("challenger index out of range")
-    if i in other_set:
-        raise ValueError(f"act {i} cannot challenge itself")
-    if not other_set:
-        return NEG_INFINITY
-    return float(max(matrix.entries[i, j] for j in other_set))
-
-
 def _check_subset(matrix: RegretMatrix, subset) -> tuple[list[int], list[int]]:
     members = set(subset)
     chosen = sorted(members)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import GuardExceededError
+
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 
@@ -64,7 +66,7 @@ def _iterate(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
             raise Unbounded("no leaving row for entering column %d" % entering)
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
-    raise RuntimeError("simplex failed to converge within %d pivots" % _MAX_PIVOTS)
+    raise GuardExceededError("simplex exceeds the %d LP pivot guard" % _MAX_PIVOTS)
 
 
 def maximize(

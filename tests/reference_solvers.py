@@ -8,6 +8,15 @@ both DFS walkers) as it stood before its rewrite. The brute-force oracle
 is its one-evaluation-per-subset loop, as it stood before subsets were
 scored in chunks. The differential tests compare the library against them; do not
 change them to match the library.
+
+The seeded branches of the minimax and greedy references state the seeded
+tie contract in plain per-row Python, and change only when that contract
+does. Minimax draws the anchor among the rows tied at the smallest k-th
+largest regret, then the anchor's border (the challengers at that regret)
+only when it holds more acts than places left in the top k, then the
+dropped challenger. Greedy draws, in each round, among the acts whose worst
+regret against the other remaining acts is smallest. Each draw happens only
+where there is more than one candidate.
 """
 
 from __future__ import annotations
@@ -32,24 +41,29 @@ def minimax_reference(entries: np.ndarray, k: int, rng) -> tuple[tuple[int, ...]
     n = entries.shape[0]
     if k >= n:
         return tuple(range(n)), float("-inf")
-    tops, mins, drop = [], [], []
+    orders, tops, mins, drop = [], [], [], []
     for i in range(n):
         vals = entries[i]
         order = sorted((j for j in range(n) if j != i), key=lambda j: (-vals[j], j))
         threshold = float(vals[order[k - 1]])
-        if rng is None:
-            top = order[:k]
-        else:
-            definite = [j for j in order[:k] if vals[j] > threshold]
-            border = [j for j in order if vals[j] == threshold]
-            extra = rng.choice(len(border), size=k - len(definite), replace=False)
-            top = definite + [border[t] for t in sorted(int(t) for t in extra)]
+        top = order[:k]
         at_min = [j for j in top if vals[j] == threshold]
+        orders.append(order)
         tops.append(top)
         mins.append(threshold)
-        drop.append(_pick(at_min, rng))
+        drop.append(_pick(at_min, None))
     best = min(mins)
     i_star = _pick([i for i in range(n) if mins[i] == best], rng)
+    if rng is not None:
+        # Seeded: the anchor above, then the anchor's border only when it
+        # holds more acts than places left in the top k, then the drop.
+        vals, order, best = entries[i_star], orders[i_star], mins[i_star]
+        definite = [j for j in order[:k] if vals[j] > best]
+        border = [j for j in order if vals[j] == best]
+        if len(border) > k - len(definite):
+            extra = rng.choice(len(border), size=k - len(definite), replace=False)
+            tops[i_star] = definite + [border[t] for t in sorted(int(t) for t in extra)]
+        drop[i_star] = _pick([j for j in tops[i_star] if vals[j] == best], rng)
     subset = sorted(({i_star} | set(tops[i_star])) - {drop[i_star]})
     return tuple(subset), best
 
@@ -59,8 +73,16 @@ def greedy_reference(entries: np.ndarray, k: int, rng) -> tuple[int, ...]:
     remaining = list(range(entries.shape[0]))
     chosen = []
     for _ in range(min(k, len(remaining))):
-        sub = entries[np.ix_(remaining, remaining)]
-        winner = minimax_reference(sub, 1, rng)[0][0]
+        if rng is None:
+            sub = entries[np.ix_(remaining, remaining)]
+            winner = minimax_reference(sub, 1, rng)[0][0]
+        else:
+            worst = [
+                max((entries[i, j] for j in remaining if j != i), default=float("-inf"))
+                for i in remaining
+            ]
+            least = min(worst)
+            winner = _pick([t for t in range(len(remaining)) if worst[t] == least], rng)
         chosen.append(remaining.pop(winner))
     return tuple(sorted(chosen))
 

@@ -270,6 +270,18 @@ def test_budgeted_rule_branches(matrices):
     assert names_of(six, budgeted_rule(six, 3, Criterion.MINIMAX)) == {"a3", "a4", "a6"}
 
 
+@pytest.mark.parametrize(
+    "criterion",
+    [c for c in Criterion if c not in (Criterion.MINIMAX, Criterion.MAXIMIN)],
+    ids=lambda c: c.value,
+)
+def test_budgeted_rule_refuses_inexact_criteria(matrices, criterion):
+    intro = matrices["intro"]
+    for k in (2, 9):  # also when the budget fits every act
+        with pytest.raises(ValueError, match=f"criterion.*{criterion.value}"):
+            budgeted_rule(intro, k, criterion)
+
+
 def test_oracle_tie_count(matrices):
     matrix = matrices["intro"]
     solution = oracle_solve(matrix, 3, Criterion.MINIMAX)
@@ -338,6 +350,33 @@ def test_seeded_tie_break_covers_all_optima(matrices):
         assert solution.tie_break == f"seeded:{seed}"
         seen.add(solution.subset)
     assert seen == {(0, 1, 2), (1, 2, 3)}
+
+
+def test_seeded_greedy_covers_every_tied_first_pick():
+    # Worst regrets 1, 1, 2, 1 against the other acts: 0, 1 and 3 tie.
+    entries = np.array([[0, 1, 0, 0], [1, 0, 0, 1], [2, 0, 0, 0], [0, 1, 1, 0]], dtype=float)
+    matrix = RegretMatrix(("a", "b", "c", "d"), entries)
+    assert solve_greedy(matrix, 1).subset == (0,)
+    seen = {solve_greedy(matrix, 1, tie_break="seeded", seed=seed).subset for seed in range(40)}
+    assert seen == {(0,), (1,), (3,)}
+
+
+def test_seeded_minimax_and_greedy_keep_no_per_row_copies():
+    # A 500-act half-integer grid ties row maxima and k-th largest regrets
+    # across many acts. The working copy is 500 * 500 floats, about 1.9 MiB.
+    rng = np.random.default_rng(11)
+    entries = np.round(rng.uniform(-10.0, 10.0, size=(500, 500)) * 2.0) / 2.0
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(500)), entries)
+    solve_minimax(matrix, 20, tie_break="seeded", seed=0)  # let numpy finish its lazy set-up
+    for solve, k in ((solve_minimax, 20), (solve_greedy, 10)):
+        tracemalloc.start()
+        try:
+            solution = solve(matrix, k, tie_break="seeded", seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(solution.subset) == k
+        assert peak < 4 * 2**20
 
 
 def test_seeded_maximin_stays_optimal(matrices):

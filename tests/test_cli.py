@@ -454,6 +454,15 @@ def test_maximin_node_guard_exits_three(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: ") and "node guard" in err
 
 
+def test_simplex_pivot_guard_exits_three(capsys, monkeypatch, problem_dir):
+    from credalbudget import simplex
+
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+    code, out, err = run_cli(capsys, "matrix", "--problem", str(problem_dir / "intro.json"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "pivot guard" in err
+
+
 def test_bad_k_rejected(capsys, problem_dir):
     code, _, err = run_cli(
         capsys, "solve", "--problem", str(problem_dir / "intro.json"),

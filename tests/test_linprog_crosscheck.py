@@ -1,8 +1,8 @@
 """Constraint-form regret entries against scipy's HiGHS LP solver.
 
-scipy is not a dependency; the module is skipped where it is missing. The
-polytopes are well scaled (coefficients of order 1); badly scaled ones are
-not covered here.
+scipy is a test extra (`pip install -e .[test]`), not a runtime dependency;
+the module is skipped where it is missing. The polytopes are well scaled
+(coefficients of order 1); badly scaled ones are not covered here.
 """
 
 import numpy as np

@@ -1,10 +1,11 @@
 """Maximin values against scipy's HiGHS MILP solver, at sizes past the oracle.
 
-scipy is not a dependency; the module is skipped where it is missing. At a
-level alpha, a k-subset reaches every act when, for each act j, j is picked
-or some picked i answers it with entries[i, j] <= alpha. The smallest
-off-diagonal value at which that 0/1 program is feasible is the optimal
-maximin value, so the solver must return it exactly.
+scipy is a test extra (`pip install -e .[test]`), not a runtime dependency;
+the module is skipped where it is missing. At a level alpha, a k-subset
+reaches every act when, for each act j, j is picked or some picked i
+answers it with entries[i, j] <= alpha. The smallest off-diagonal value at
+which that 0/1 program is feasible is the optimal maximin value, so the
+solver must return it exactly.
 """
 
 import numpy as np

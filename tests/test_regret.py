@@ -13,7 +13,6 @@ from credalbudget.regret import (
     maximin_regret,
     minimax_regret,
     regret_matrix,
-    worst_regret,
 )
 
 
@@ -72,24 +71,6 @@ def test_pairwise_antisymmetry_bound(matrices):
         for i in range(n):
             for j in range(i + 1, n):
                 assert matrix.entries[i, j] + matrix.entries[j, i] >= -1e-9
-
-
-def test_worst_regret_against_table(matrices):
-    intro = matrices["intro"]
-    assert worst_regret(intro, 3, {0, 1, 2, 4}) == pytest.approx(3.0, abs=1e-9)
-    six = matrices["sixacts"]
-    assert worst_regret(six, 5, {0, 1, 2, 3, 4}) == pytest.approx(3.9, abs=1e-9)
-
-
-def test_worst_regret_empty_and_errors(matrices):
-    intro = matrices["intro"]
-    assert worst_regret(intro, 0, set()) == NEG_INFINITY
-    with pytest.raises(ValueError):
-        worst_regret(intro, 1, {1, 2})
-    with pytest.raises(IndexError):
-        worst_regret(intro, 9, {1})
-    with pytest.raises(IndexError):
-        worst_regret(intro, 1, {7})
 
 
 def test_minimax_regret_values(matrices):
