@@ -11,9 +11,9 @@ Covers are int bitmasks, one per act. The DFS returns the satisfying
 subset at a given lexicographic rank: rank 0 for the lex policy, and for
 the seeded policy first a count of the optima, then the drawn one. It
 counts its nodes and raises GuardExceededError past MAXIMIN_MAX_NODES.
-The same level scan, with exact covers, re-checks the window that the
-cover tolerance may have merged. A brute-force oracle evaluates every
-subset for cross-checking.
+The scan builds exact covers (entry <= level), so the first feasible level
+is the optimum itself. A brute-force oracle evaluates every subset for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ class BudgetSolution:
 class CoverFamily:
     """Per-act bitmasks of the acts answered at regret <= alpha.
 
-    Bit j of masks[i] is set exactly when entries[i, j] <= alpha + COVER_TOL
-    or j == i: an act always answers for itself.
+    Bit j of masks[i] is set exactly when entries[i, j] <= alpha + tol, for
+    the `tol` given to cover_family (COVER_TOL by default), or when j == i:
+    an act always answers for itself. solve_maximin passes tol=0.0, so its
+    covers are exact.
     """
 
     alpha: float
@@ -283,16 +285,6 @@ def _satisfying_subsets(
     return hit, passed
 
 
-def _first_reachable(matrix: RegretMatrix, levels, k: int, tol: float, nodes_left: list[int]):
-    """(level, subset) at the first of the ascending levels that reaches every act."""
-    for level in levels:
-        covers = cover_family(matrix, float(level), tol=tol)
-        found = reachability_check(covers, k, matrix.n, nodes_left=nodes_left)
-        if found is not None:
-            return float(level), found
-    raise RuntimeError("internal error: no maximin level reaches every act")
-
-
 def solve_maximin(
     matrix: RegretMatrix, k: int, *, tie_break: str = LEX, seed: int | None = None
 ) -> BudgetSolution:
@@ -321,20 +313,21 @@ def solve_maximin(
 
     nodes_left = [MAXIMIN_MAX_NODES]
     values = np.sort(matrix.off_diagonal_values())
-    levels = np.unique(values[n - k - 1:])
-    alpha, found = _first_reachable(matrix, levels, k, COVER_TOL, nodes_left)
+    for level in np.unique(values[n - k - 1:]):
+        covers = cover_family(matrix, float(level), tol=0.0)
+        found = reachability_check(covers, k, n, nodes_left=nodes_left)
+        if found is not None:
+            break
+    else:
+        raise RuntimeError("internal error: no maximin level reaches every act")
+    # Every lower level failed and maximin_regret(found) is itself a level no
+    # higher than this one, so the two are equal; the evaluator keeps the
+    # sign of a zero.
     value = maximin_regret(matrix, found)
-    if value != alpha:
-        # The cover tolerance merged levels closer than COVER_TOL, so a
-        # strictly better subset may hide between alpha and this value. The
-        # first level in that window with exact covers is the true optimum.
-        window = np.unique(values[(values >= alpha) & (values <= value)])
-        _, found = _first_reachable(matrix, window, k, 0.0, nodes_left)
-        value = maximin_regret(matrix, found)
     if rng is not None:
         # T satisfies the exact covers at the optimum exactly when
         # maximin_regret(T) <= value, that is, when T is optimal.
-        masks = cover_family(matrix, value, tol=0.0).masks
+        masks = covers.masks  # built at a level equal to value: its exact covers
         over, count = _satisfying_subsets(masks, k, n, ORACLE_MAX_SUBSETS, nodes_left)
         if over is not None:
             raise GuardExceededError(

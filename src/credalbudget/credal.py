@@ -136,13 +136,18 @@ class CredalSet:
         a_list: list[np.ndarray] = []
         b_list: list[float] = []
         for c in rows:
+            # Unit rows (largest |coefficient| 1) make the simplex's absolute
+            # tolerances mean the same for every row; all-zero rows stay.
             coefs = np.asarray(c.coeffs, dtype=float)
+            scale = float(np.abs(coefs).max(initial=0.0)) or 1.0
+            coefs = coefs / scale
+            rhs = float(c.rhs) / scale
             if c.relation in ("<=", "="):
                 a_list.append(coefs)
-                b_list.append(float(c.rhs))
+                b_list.append(rhs)
             if c.relation in (">=", "="):
                 a_list.append(-coefs)
-                b_list.append(float(-c.rhs))
+                b_list.append(-rhs)
         a_ub = np.array(a_list) if a_list else np.zeros((0, dimension))
         b_ub = np.array(b_list)
         a_ub.setflags(write=False)

@@ -223,7 +223,12 @@ def matrix_from_csv(text: str) -> RegretMatrix:
                 continue
             if cell.strip() in ("", "-"):
                 raise ValueError(f"matrix csv row {j + 1}: empty off-diagonal cell")
-            value = float(cell)
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"matrix csv row {j + 1}, column {names[i]!r}: {cell!r} is not a number"
+                ) from None
             if not np.isfinite(value):
                 raise ValueError(
                     f"matrix csv row {j + 1}, column {names[i]!r}: {cell!r} is not finite"

@@ -3,11 +3,11 @@
 These are the per-row sorting minimax, the (V, n, n) broadcast regret
 build, the per-basis vertex enumeration and the one-LP-per-pair
 constraint-form build as they stood before each was vectorised, and the
-maximin level scan (COVER_TOL covers, the exact-cover repair window and
-both DFS walkers) as it stood before its rewrite. The brute-force oracle
-is its one-evaluation-per-subset loop, as it stood before subsets were
-scored in chunks. The differential tests compare the library against them; do not
-change them to match the library.
+maximin level scan (exact covers, the repair window that exact covers
+leave unreachable, and both DFS walkers) as it stood before its rewrite.
+The brute-force oracle is its one-evaluation-per-subset loop, as it stood
+before subsets were scored in chunks. The differential tests compare the
+library against them; do not change them to match the library.
 
 The seeded branches of the minimax and greedy references state the seeded
 tie contract in plain per-row Python, and change only when that contract
@@ -27,7 +27,6 @@ import numpy as np
 
 PMF_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-9
-COVER_TOL = 1e-12
 
 
 def _pick(candidates, rng):
@@ -278,7 +277,7 @@ def maximin_reference(entries: np.ndarray, k: int, rng) -> tuple[tuple[int, ...]
         if previous is not None and alpha == previous:
             continue
         previous = alpha
-        sets = _cover_sets(entries, alpha, COVER_TOL)
+        sets = _cover_sets(entries, alpha, 0.0)
         found = _reachability(sets, k, n)
         if found is None:
             continue

@@ -124,6 +124,15 @@ def test_cover_tolerance_boundary():
     assert challengers(covers, 1) == {0}  # within the 1e-12 equality slack
 
 
+def test_maximin_keeps_levels_closer_than_the_cover_tolerance_apart():
+    # Act 2 answers act 0 at regret -1 + 2e-13, so at level -1 it must not
+    # cover act 0: the greedy pass then starts from act 1 and returns the
+    # lex-first optimum (0, 1), not the tied (0, 2).
+    entries = np.array([[0.0, 2.0, 2.0], [1.0, 0.0, -1.0], [-1.0 + 2e-13, -1.0, 0.0]])
+    solution = solve_maximin(RegretMatrix(("a", "b", "c"), entries), 2)
+    assert (solution.subset, solution.value) == ((0, 1), -1.0)
+
+
 def test_reachability_examples(matrices):
     matrix = matrices["sixacts"]
     assert reachability_check(cover_family(matrix, -1.0), 2, 6) is None

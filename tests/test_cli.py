@@ -611,13 +611,17 @@ def test_non_finite_json_payoff_exits_one(capsys, tmp_path):
     assert "acts[0].payoffs: numbers must be finite" in err
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
-def test_non_finite_matrix_csv_exits_one(capsys, tmp_path, cell):
+@pytest.mark.parametrize(
+    "cell, problem",
+    [("nan", "finite"), ("inf", "finite"), ("-Infinity", "finite"), ("abc", "a number")],
+    ids=["nan", "inf", "-Infinity", "abc"],
+)
+def test_non_finite_matrix_csv_exits_one(capsys, tmp_path, cell, problem):
     path = tmp_path / "bad.csv"
     path.write_text(f",a1,a2,a3\na1,,2,1\na2,{cell},,1\na3,1,3,\n")
     code, out, err = run_cli(capsys, "solve", "--problem", str(path), "--k", "1")
     assert (code, out) == (1, "")
-    assert f"matrix csv row 2, column 'a1': '{cell}' is not finite" in err
+    assert f"matrix csv row 2, column 'a1': '{cell}' is not {problem}" in err
 
 
 @pytest.mark.parametrize(

@@ -117,8 +117,8 @@ def test_minimax_and_greedy_match_reference_at_width(n, grid):
 @pytest.mark.parametrize("block", range(4))
 def test_maximin_matches_reference(block):
     # Every other matrix gets 2e-13 added to about 30% of its off-diagonal
-    # entries: levels closer than COVER_TOL then merge in the scan, and the
-    # exact-cover repair window has to find the true optimum.
+    # entries, so some levels lie 2e-13 apart: the scan must keep them apart
+    # and not merge them into one, in the subset as well as in the value.
     rng = np.random.default_rng(2000 + block)
     for m in range(500):
         matrix = tied_matrix(rng)

@@ -3,7 +3,7 @@ import pytest
 from conftest import interval_rows
 from reference_solvers import regret_matrix_lp_reference
 
-from credalbudget.credal import Act, CredalSet
+from credalbudget.credal import Act, CredalSet, LinearConstraint
 from credalbudget.regret import (
     NEG_INFINITY,
     RegretMatrix,
@@ -45,6 +45,25 @@ def test_guarded_polytopes_take_the_lp_path(n_states):
     acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
     got = regret_matrix(acts, credal).entries
     assert got.tobytes() == regret_matrix_lp_reference(payoffs, credal).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e10], ids=["tiny", "huge"])
+def test_constraint_rows_are_scale_invariant(scale):
+    # p1 >= 0.6 and p2 - p3 <= 0.1, each row and its rhs multiplied by scale:
+    # the tiny rows used to fall under the absolute tolerances and give
+    # {a1} value 2 at k = 1 instead of {a2} value -0.4; the huge ones were
+    # refused at load as infeasible.
+    acts = [Act("a1", (0.0, 3.0, 1.0)), Act("a2", (2.0, 0.0, 1.0)), Act("a3", (0.0, 1.0, 3.0))]
+
+    def rows(f):
+        return [
+            LinearConstraint((f, 0.0, 0.0), ">=", 0.6 * f),
+            LinearConstraint((0.0, f, -f), "<=", 0.1 * f),
+        ]
+
+    want = regret_matrix(acts, CredalSet.from_constraints(rows(1.0), 3)).entries
+    got = regret_matrix(acts, CredalSet.from_constraints(rows(scale), 3)).entries
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def test_payoff_length_must_match_credal_dimension():
