@@ -1,18 +1,22 @@
 """Optimal budgeted subsets of acts under the two regret criteria.
 
 The minimax solver is the direct polynomial selection over per-act top-k
-regret columns. The maximin solver scans candidate levels alpha upward and
-asks, per level, whether k acts can answer every outside challenger at
-regret <= alpha; that check is a dominating-set search over cover sets,
-done by a greedy pass and then a lexicographic DFS with two pruning bounds:
-the acts still to pick must be able to reach every act not yet covered,
-and the sum of their largest gains must reach the number of such acts.
-Covers are int bitmasks, one per act. The DFS returns the satisfying
-subset at a given lexicographic rank: rank 0 for the lex policy, and for
-the seeded policy first a count of the optima, then the drawn one. It
-counts its nodes and raises GuardExceededError past MAXIMIN_MAX_NODES.
-The scan builds exact covers (entry <= level), so the first feasible level
-is the optimum itself. A brute-force oracle evaluates every subset for
+regret columns. The maximin solver bisects the candidate levels alpha: k
+acts can answer every outside challenger at regret <= alpha at every level
+above a feasible one, so the lowest feasible level is found by asking that
+question at about log2(n^2) levels. Each probe is a dominating-set search
+over exact covers (entry <= level) that branches on the uncovered act with
+the fewest coverers (the most-constrained-first rule of Knuth's Dancing
+Links) and prunes when the largest gains of the acts still to pick cannot
+reach every act not yet covered. At the lowest feasible level, which is
+the optimum itself, the subset comes from a greedy pass or else from a
+lexicographic DFS with two pruning bounds: the acts still to pick must be
+able to reach every act not yet covered, and the gain bound above. Covers
+are int bitmasks, one per act. The DFS returns the satisfying subset at a
+given lexicographic rank: rank 0 for the lex policy, and for the seeded
+policy first a count of the optima, then the drawn one. Probes and DFS
+count their nodes against one budget and raise GuardExceededError past
+MAXIMIN_MAX_NODES. A brute-force oracle evaluates every subset for
 cross-checking.
 """
 
@@ -285,15 +289,65 @@ def _satisfying_subsets(
     return hit, passed
 
 
+def _level_feasible(matrix: RegretMatrix, level: float, k: int, nodes_left: list[int]) -> bool:
+    """Whether some k acts answer every act at regret <= level.
+
+    Branches on the uncovered act with the fewest coverers still allowed,
+    trying them by decreasing gain, lower index first; a coverer that failed
+    is barred from the rest of that subtree, so no subset is tried twice.
+    Prunes by the walker's gain bound and spends nodes_left[0] as it does.
+    """
+    n = matrix.n
+    within = matrix.entries <= level
+    np.fill_diagonal(within, True)
+    packed = np.packbits(np.concatenate((within, within.T)), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    both = [int.from_bytes(data[r:r + width], "little") for r in range(0, len(data), width)]
+    masks, coverers = both[:n], both[n:]
+    full = (1 << n) - 1
+    left = nodes_left[0]
+
+    def search(covered: int, remaining: int, allowed: int, pool: list[int]) -> bool:
+        """pool lists the acts whose bits are set in allowed."""
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise GuardExceededError(
+                f"maximin cover search exceeds the {MAXIMIN_MAX_NODES} node guard"
+            )
+        missing = full & ~covered
+        if not missing:
+            return True
+        gains = [(masks[i] & missing).bit_count() for i in pool]
+        if sum(sorted(gains, reverse=True)[:remaining]) < missing.bit_count():
+            return False
+        options = min(
+            [coverers[j] & allowed for j in range(n) if missing >> j & 1], key=int.bit_count
+        )
+        for _, i in sorted([(-g, i) for g, i in zip(gains, pool) if options >> i & 1]):
+            if search(covered | masks[i], remaining - 1, allowed, pool):
+                return True
+            allowed &= ~(1 << i)
+            pool = [p for p in pool if p != i]
+        return False
+
+    feasible = search(0, k, full, list(range(n)))
+    nodes_left[0] = left
+    return feasible
+
+
 def solve_maximin(
     matrix: RegretMatrix, k: int, *, tie_break: str = LEX, seed: int | None = None
 ) -> BudgetSolution:
     """Optimal size-min(k, n) subset under the maximin regret criterion.
 
-    Scans the distinct off-diagonal regrets upward, starting at the
-    (n - k)-th lowest; the first level whose cover family admits a size-k
-    reachability subset is the optimum. The scan always ends: at the largest
-    regret every cover is complete.
+    Bisects the distinct off-diagonal regrets from the (n - k)-th lowest up:
+    the lowest level whose exact cover family admits a size-k reachability
+    subset is the optimum, and feasibility only grows with the level. At the
+    largest regret every cover is complete, so that level needs no probe.
+    reachability_check then finds the subset at the optimum, so the lex
+    subset is the one its greedy pass or walker returns there.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.
@@ -301,9 +355,9 @@ def solve_maximin(
     the drawn rank. When there are more than ORACLE_MAX_SUBSETS of them, it
     raises GuardExceededError instead of drawing.
 
-    Every cover search of one call, both seeded walks included, shares one
-    budget of MAXIMIN_MAX_NODES walker nodes; past it GuardExceededError is
-    raised instead of searching on.
+    Every cover search of one call, the probes and both seeded walks
+    included, shares one budget of MAXIMIN_MAX_NODES nodes; past it
+    GuardExceededError is raised instead of searching on.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
@@ -313,16 +367,19 @@ def solve_maximin(
 
     nodes_left = [MAXIMIN_MAX_NODES]
     values = np.sort(matrix.off_diagonal_values())
-    for level in np.unique(values[n - k - 1:]):
-        covers = cover_family(matrix, float(level), tol=0.0)
-        found = reachability_check(covers, k, n, nodes_left=nodes_left)
-        if found is not None:
-            break
-    else:
-        raise RuntimeError("internal error: no maximin level reaches every act")
-    # Every lower level failed and maximin_regret(found) is itself a level no
-    # higher than this one, so the two are equal; the evaluator keeps the
-    # sign of a zero.
+    levels = np.unique(values[n - k - 1:])
+    lo, hi = 0, len(levels) - 1  # every cover is complete at the top level
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _level_feasible(matrix, float(levels[mid]), k, nodes_left):
+            hi = mid
+        else:
+            lo = mid + 1
+    covers = cover_family(matrix, float(levels[lo]), tol=0.0)
+    found = reachability_check(covers, k, n, nodes_left=nodes_left)
+    # Every lower level is infeasible and maximin_regret(found) is itself a
+    # level no higher than this one, so the two are equal; the evaluator
+    # keeps the sign of a zero.
     value = maximin_regret(matrix, found)
     if rng is not None:
         # T satisfies the exact covers at the optimum exactly when

@@ -10,6 +10,7 @@ from conftest import random_matrix
 from credalbudget.budget import (
     MAXIMIN_MAX_NODES,
     Criterion,
+    _level_feasible,
     _satisfying_subsets,
     budgeted_rule,
     cover_family,
@@ -189,6 +190,53 @@ def test_satisfying_subsets_match_brute_force():
             assert got == (None, count)
 
 
+def test_level_probe_matches_brute_force():
+    # The same random mask families as the walker's test above, written as a
+    # 0/1 matrix probed at level 0: the probe's prunes and bars only cut
+    # subtrees without a cover, so it answers "feasible" exactly when the
+    # brute-force list of satisfying k-subsets is non-empty.
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(1, 11))
+        density = (0.0, 0.15, 0.3, 0.6, 1.0)[trial % 5]
+        bits = rng.random((n, n)) < density
+        masks = [(1 << i) | sum(1 << j for j in range(n) if bits[i, j]) for i in range(n)]
+        matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), np.where(bits, 0.0, 1.0))
+        full = (1 << n) - 1
+        for k in range(1, n + 1):
+            expected = any(
+                functools.reduce(operator.or_, (masks[i] for i in combo)) == full
+                for combo in itertools.combinations(range(n), k)
+            )
+            assert _level_feasible(matrix, 0.0, k, [MAXIMIN_MAX_NODES]) == expected
+
+
+def test_bisected_level_is_the_first_reachable_level():
+    # Integer entries in -2..2 and -50..50 tie often; 0/1 entries moved by
+    # +-2e-13 put levels 2e-13 apart. The probe agrees with the walker at
+    # every candidate level, and the solver returns the lowest level at which
+    # reachability_check finds a subset.
+    rng = np.random.default_rng(17)
+    for trial in range(90):
+        n = int(rng.integers(3, 16))
+        if trial % 3 == 0:
+            entries = rng.integers(-2, 3, (n, n)).astype(float)
+        elif trial % 3 == 1:
+            entries = rng.integers(-50, 51, (n, n)).astype(float)
+        else:
+            entries = rng.integers(0, 2, (n, n)) + rng.choice([-2e-13, 0.0, 2e-13], (n, n))
+        matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), entries)
+        values = np.sort(matrix.off_diagonal_values())
+        for k in range(1, n):
+            first = None
+            for level in np.unique(values[n - k - 1:]).tolist():
+                found = reachability_check(cover_family(matrix, level, tol=0.0), k, n)
+                assert _level_feasible(matrix, level, k, [MAXIMIN_MAX_NODES]) == (found is not None)
+                if found is not None and first is None:
+                    first = level
+            assert solve_maximin(matrix, k).value == first
+
+
 def negativity_size_matrix():
     config = GenConfig(n_acts=20, n_states=5, n_vertices=20, seed=0)
     return regret_matrix(*generate_instance(config))
@@ -206,6 +254,34 @@ def test_reachability_spends_the_shared_node_budget():
     assert reachability_check(covers, 5, matrix.n, nodes_left=[used]) is None
     with pytest.raises(GuardExceededError, match="node guard"):
         reachability_check(covers, 5, matrix.n, nodes_left=[used - 1])
+
+
+def test_level_probe_spends_the_shared_node_budget():
+    # Nothing reaches every act at the lowest level, so the probe visits
+    # some nodes before it answers "infeasible", and one node less raises.
+    matrix = negativity_size_matrix()
+    level = float(matrix.off_diagonal_values().min())
+    nodes_left = [1000]
+    assert not _level_feasible(matrix, level, 5, nodes_left)
+    used = 1000 - nodes_left[0]
+    assert used > 0
+    assert not _level_feasible(matrix, level, 5, [used])
+    with pytest.raises(GuardExceededError, match="node guard"):
+        _level_feasible(matrix, level, 5, [used - 1])
+
+
+def test_maximin_bisection_fits_a_small_node_budget(monkeypatch):
+    # At 200 acts and k = 20 the bisection's probes visit a few hundred
+    # nodes; the upward level scan with the lexicographic walker was past
+    # 2 million nodes already at 60 acts and k = 12.
+    import credalbudget.budget as budget_mod
+
+    config = GenConfig(n_acts=200, n_states=5, n_vertices=20, seed=5)
+    matrix = regret_matrix(*generate_instance(config))
+    monkeypatch.setattr(budget_mod, "MAXIMIN_MAX_NODES", 10**4)
+    solution = solve_maximin(matrix, 20)
+    assert len(solution.subset) == 20
+    assert maximin_regret(matrix, solution.subset) == solution.value
 
 
 def test_maximin_node_guard(monkeypatch):

@@ -49,8 +49,10 @@ def milp_maximin(entries: np.ndarray, k: int) -> float:
     return float(levels[lo])
 
 
-@pytest.mark.parametrize("k", [5, 10])
-@pytest.mark.parametrize("n", [20, 30, 40])
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in (20, 30, 40) for k in (5, 10)] + [(60, 6), (60, 12), (100, 10), (100, 20)],
+)
 def test_maximin_value_matches_milp(n, k):
     config = GenConfig(n_acts=n, n_states=5, n_vertices=20, seed=n * 100 + k)
     matrix = regret_matrix(*generate_instance(config))
