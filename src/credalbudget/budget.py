@@ -4,20 +4,20 @@ The minimax solver is the direct polynomial selection over per-act top-k
 regret columns. The maximin solver bisects the candidate levels alpha: k
 acts can answer every outside challenger at regret <= alpha at every level
 above a feasible one, so the lowest feasible level is found by asking that
-question at about log2(n^2) levels. Each probe is a dominating-set search
-over exact covers (entry <= level) that branches on the uncovered act with
-the fewest coverers (the most-constrained-first rule of Knuth's Dancing
-Links) and prunes when the largest gains of the acts still to pick cannot
-reach every act not yet covered. At the lowest feasible level, which is
-the optimum itself, the subset comes from a greedy pass or else from a
-lexicographic DFS with two pruning bounds: the acts still to pick must be
-able to reach every act not yet covered, and the gain bound above. Covers
-are int bitmasks, one per act. The DFS returns the satisfying subset at a
-given lexicographic rank: rank 0 for the lex policy, and for the seeded
-policy first a count of the optima, then the drawn one. Probes and DFS
-count their nodes against one budget and raise GuardExceededError past
-MAXIMIN_MAX_NODES. A brute-force oracle evaluates every subset for
-cross-checking.
+question at about log2(n^2) levels. Covers are int bitmasks: per act, the
+acts it answers and the acts that answer it. One counting cover search
+answers every maximin question. It counts, up to a cap, the k-subsets that
+reach every act, branching on the uncovered act with the fewest coverers
+left (the most-constrained-first rule of Knuth's Dancing Links) and barring
+each coverer once tried, so its branches partition the subsets; it prunes
+when the largest gains of the acts still to pick cannot reach every act not
+yet covered. A probe asks it for one subset. At the lowest feasible level,
+which is the optimum itself, the subset comes from a greedy pass or else
+is built pick by pick from counts: the satisfying subset at lexicographic
+rank 0 for the lex policy, and for the seeded policy first a count of the
+optima, then the drawn rank. All searches of one solve count their nodes
+against one budget and raise GuardExceededError past MAXIMIN_MAX_NODES. A
+brute-force oracle evaluates every subset for cross-checking.
 """
 
 from __future__ import annotations
@@ -74,16 +74,19 @@ class BudgetSolution:
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """Per-act bitmasks of the acts answered at regret <= alpha.
+    """Per-act bitmasks of the acts answered at regret <= alpha, and of the
+    acts that answer them.
 
     Bit j of masks[i] is set exactly when entries[i, j] <= alpha + tol, for
     the `tol` given to cover_family (COVER_TOL by default), or when j == i:
-    an act always answers for itself. solve_maximin passes tol=0.0, so its
-    covers are exact.
+    an act always answers for itself. coverers is the transpose: bit i of
+    coverers[j] is set exactly when bit j of masks[i] is. solve_maximin
+    passes tol=0.0, so its covers are exact.
     """
 
     alpha: float
     masks: tuple[int, ...]
+    coverers: tuple[int, ...]
 
 
 def _validate_k(k: int) -> None:
@@ -170,12 +173,15 @@ def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None)
 
 
 def cover_family(matrix: RegretMatrix, alpha: float, *, tol: float = COVER_TOL) -> CoverFamily:
-    """Acts each act answers at level alpha, itself included."""
+    """Acts each act answers at level alpha, itself included, and their coverers."""
+    n = matrix.n
     within = matrix.entries <= alpha + tol
     np.fill_diagonal(within, True)
-    rows = np.packbits(within, axis=1, bitorder="little")
-    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-    return CoverFamily(float(alpha), masks)
+    packed = np.packbits(np.concatenate((within, within.T)), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    both = [int.from_bytes(data[r:r + width], "little") for r in range(0, len(data), width)]
+    return CoverFamily(float(alpha), tuple(both[:n]), tuple(both[n:]))
 
 
 def reachability_check(
@@ -185,12 +191,13 @@ def reachability_check(
 
     Returns None when no such T exists. A greedy pass first picks, k times,
     the act covering the most still-uncovered acts and returns at once if
-    that reaches everything; otherwise the lexicographic walker decides.
-    The greedy pass does not affect completeness. `nodes_left` is a
-    one-element node budget shared across calls (a fresh budget of
-    MAXIMIN_MAX_NODES when omitted); the walker raises GuardExceededError
-    once it is spent.
+    that reaches everything; otherwise the lexicographically first such T
+    is built pick by pick with the counting cover search. The greedy pass
+    does not affect completeness. `nodes_left` is a one-element node budget
+    shared across calls (a fresh budget of MAXIMIN_MAX_NODES when omitted);
+    the search raises GuardExceededError once it is spent.
     """
+    _validate_k(k)
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of acts {n}")
     masks = covers.masks
@@ -218,98 +225,36 @@ def reachability_check(
 
     if nodes_left is None:
         nodes_left = [MAXIMIN_MAX_NODES]
-    return _satisfying_subsets(masks, k, n, 0, nodes_left)[0]
+    return _subset_at_rank(covers, k, 0, nodes_left)
 
 
-def _satisfying_subsets(
-    masks: tuple[int, ...], k: int, n: int, rank: int, nodes_left: list[int]
-) -> tuple[tuple[int, ...] | None, int]:
-    """(hit, passed): the satisfying k-subset at 0-based lex position `rank`
-    and the hits before it, or (None, count) when there are only count hits.
-
-    Each visited node spends one unit of nodes_left[0]; the walk raises
-    GuardExceededError when the budget is spent.
-    """
-    full = (1 << n) - 1
-    # reach[i] is every act that masks[i:] can cover; it only shrinks as i grows.
-    reach = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        reach[i] = reach[i + 1] | masks[i]
-    prefix: list[int] = []
-    left = nodes_left[0]
-    passed = 0
-
-    def walk(start: int, remaining: int, covered: int) -> tuple[int, ...] | None:
-        """The hit at `rank` if it extends prefix; else count this prefix's hits."""
-        nonlocal left, passed
-        left -= 1
-        if left < 0:
-            raise GuardExceededError(
-                f"maximin cover search exceeds the {MAXIMIN_MAX_NODES} node guard"
-            )
-        if covered == full:
-            # Every way to fill the remaining picks is a hit.
-            tail = math.comb(n - start, remaining)
-            if rank - passed >= tail:
-                passed += tail
-                return None
-            combos = itertools.combinations(range(start, n), remaining)
-            rest = next(itertools.islice(combos, rank - passed, None))
-            passed = rank
-            return (*prefix, *rest)
-        missing = (~covered) & full
-        # Acts that no act still to pick covers leave this prefix without a hit.
-        if remaining == 0 or missing & ~reach[start]:
-            return None
-        if remaining == 1:
-            for i in range(start, n):
-                if not missing & ~masks[i]:
-                    if passed == rank:
-                        return (*prefix, i)
-                    passed += 1
-            return None
-        # The acts still to pick cover at most their `remaining` largest
-        # gains, so a prefix whose top gains fall short holds no hit.
-        gains = [(m & missing).bit_count() for m in masks[start:]]
-        gains.sort(reverse=True)
-        if sum(gains[:remaining]) < missing.bit_count():
-            return None
-        for i in range(start, n - remaining + 1):
-            if missing & ~reach[i]:
-                break
-            prefix.append(i)
-            hit = walk(i + 1, remaining - 1, covered | masks[i])
-            if hit is not None:
-                return hit
-            prefix.pop()
-        return None
-
-    hit = walk(0, k, 0)
-    nodes_left[0] = left
-    return hit, passed
-
-
-def _level_feasible(matrix: RegretMatrix, level: float, k: int, nodes_left: list[int]) -> bool:
-    """Whether some k acts answer every act at regret <= level.
+def _cover_count(
+    covers: CoverFamily,
+    picks: int,
+    cap: int,
+    nodes_left: list[int],
+    covered: int = 0,
+    start: int = 0,
+) -> int:
+    """min(cap, the number of `picks`-subsets of the acts from index `start`
+    up whose covers reach every act not in `covered`).
 
     Branches on the uncovered act with the fewest coverers still allowed,
-    trying them by decreasing gain, lower index first; a coverer that failed
-    is barred from the rest of that subtree, so no subset is tried twice.
-    Prunes by the walker's gain bound and spends nodes_left[0] as it does.
+    trying them by decreasing gain, lower index first. Each coverer tried is
+    barred from the rest of its node, so the branches partition the subsets
+    and count each one once. A node whose acts are all covered counts every
+    way to fill its picks, one with a single pick left counts the acts that
+    cover all that is missing, and one whose largest `picks` gains cannot
+    cover it counts none. Each node spends one unit of nodes_left[0]; the
+    search raises GuardExceededError once the budget is spent.
     """
-    n = matrix.n
-    within = matrix.entries <= level
-    np.fill_diagonal(within, True)
-    packed = np.packbits(np.concatenate((within, within.T)), axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    both = [int.from_bytes(data[r:r + width], "little") for r in range(0, len(data), width)]
-    masks, coverers = both[:n], both[n:]
+    masks, coverers = covers.masks, covers.coverers
+    n = len(masks)
     full = (1 << n) - 1
     left = nodes_left[0]
 
-    def search(covered: int, remaining: int, allowed: int, pool: list[int]) -> bool:
-        """pool lists the acts whose bits are set in allowed."""
+    def count(covered: int, picks: int, cap: int, allowed: int, pool: list[int]) -> int:
+        """pool lists the allowed acts plus picked ones, which gain nothing."""
         nonlocal left
         left -= 1
         if left < 0:
@@ -318,23 +263,59 @@ def _level_feasible(matrix: RegretMatrix, level: float, k: int, nodes_left: list
             )
         missing = full & ~covered
         if not missing:
-            return True
+            return min(cap, math.comb(allowed.bit_count(), picks))
+        if picks == 1:
+            for j in range(n):
+                if missing >> j & 1:
+                    allowed &= coverers[j]
+            return min(cap, allowed.bit_count())
         gains = [(masks[i] & missing).bit_count() for i in pool]
-        if sum(sorted(gains, reverse=True)[:remaining]) < missing.bit_count():
-            return False
+        if sum(sorted(gains, reverse=True)[:picks]) < missing.bit_count():
+            return 0
         options = min(
             [coverers[j] & allowed for j in range(n) if missing >> j & 1], key=int.bit_count
         )
+        total = 0
         for _, i in sorted([(-g, i) for g, i in zip(gains, pool) if options >> i & 1]):
-            if search(covered | masks[i], remaining - 1, allowed, pool):
-                return True
             allowed &= ~(1 << i)
+            total += count(covered | masks[i], picks - 1, cap - total, allowed, pool)
+            if total >= cap:
+                return cap
             pool = [p for p in pool if p != i]
-        return False
+        return total
 
-    feasible = search(0, k, full, list(range(n)))
+    found = count(covered, picks, cap, full >> start << start, list(range(start, n)))
     nodes_left[0] = left
-    return feasible
+    return found
+
+
+def _subset_at_rank(
+    covers: CoverFamily, k: int, rank: int, nodes_left: list[int]
+) -> tuple[int, ...] | None:
+    """The satisfying k-subset at 0-based lexicographic position `rank`, or
+    None when fewer than rank + 1 subsets satisfy.
+
+    Each pick takes the lowest act i above the last pick whose completions
+    by acts above i, counted up to rank + 1, exceed `rank`; the counts of
+    the acts passed over are subtracted from `rank` on the way.
+    """
+    n = len(covers.masks)
+    chosen: list[int] = []
+    covered = 0
+    start = 0
+    for picks in range(k, 0, -1):
+        for i in range(start, n - picks + 1):
+            reached = covered | covers.masks[i]
+            tail = _cover_count(covers, picks - 1, rank + 1, nodes_left, reached, i + 1)
+            if tail > rank:
+                break
+            rank -= tail
+        else:
+            return None
+        chosen.append(i)
+        covered = reached
+        start = i + 1
+    return tuple(chosen)
 
 
 def solve_maximin(
@@ -344,20 +325,23 @@ def solve_maximin(
 
     Bisects the distinct off-diagonal regrets from the (n - k)-th lowest up:
     the lowest level whose exact cover family admits a size-k reachability
-    subset is the optimum, and feasibility only grows with the level. At the
+    subset is the optimum, and feasibility only grows with the level. Each
+    probed level asks the counting cover search for one subset; at the
     largest regret every cover is complete, so that level needs no probe.
     reachability_check then finds the subset at the optimum, so the lex
-    subset is the one its greedy pass or walker returns there.
+    subset is the one its greedy pass returns there, or else the
+    lexicographically first satisfying subset.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.
-    One walk counts them, keeping O(n) extra memory, and a second walks to
-    the drawn rank. When there are more than ORACLE_MAX_SUBSETS of them, it
-    raises GuardExceededError instead of drawing.
+    The counting search counts them, keeping O(n) extra memory, and the
+    drawn rank is then built pick by pick. When there are more than
+    ORACLE_MAX_SUBSETS of them, it raises GuardExceededError instead of
+    drawing.
 
-    Every cover search of one call, the probes and both seeded walks
-    included, shares one budget of MAXIMIN_MAX_NODES nodes; past it
-    GuardExceededError is raised instead of searching on.
+    Every cover search of one call, the probes, the lex search and the
+    seeded count and draw included, shares one budget of MAXIMIN_MAX_NODES
+    nodes; past it GuardExceededError is raised instead of searching on.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
@@ -369,13 +353,16 @@ def solve_maximin(
     values = np.sort(matrix.off_diagonal_values())
     levels = np.unique(values[n - k - 1:])
     lo, hi = 0, len(levels) - 1  # every cover is complete at the top level
+    covers = None  # the covers at levels[hi] once a probe has found them feasible
     while lo < hi:
         mid = (lo + hi) // 2
-        if _level_feasible(matrix, float(levels[mid]), k, nodes_left):
-            hi = mid
+        probe = cover_family(matrix, float(levels[mid]), tol=0.0)
+        if _cover_count(probe, k, 1, nodes_left):
+            hi, covers = mid, probe
         else:
             lo = mid + 1
-    covers = cover_family(matrix, float(levels[lo]), tol=0.0)
+    if covers is None:
+        covers = cover_family(matrix, float(levels[lo]), tol=0.0)
     found = reachability_check(covers, k, n, nodes_left=nodes_left)
     # Every lower level is infeasible and maximin_regret(found) is itself a
     # level no higher than this one, so the two are equal; the evaluator
@@ -384,13 +371,12 @@ def solve_maximin(
     if rng is not None:
         # T satisfies the exact covers at the optimum exactly when
         # maximin_regret(T) <= value, that is, when T is optimal.
-        masks = covers.masks  # built at a level equal to value: its exact covers
-        over, count = _satisfying_subsets(masks, k, n, ORACLE_MAX_SUBSETS, nodes_left)
-        if over is not None:
+        count = _cover_count(covers, k, ORACLE_MAX_SUBSETS + 1, nodes_left)
+        if count > ORACLE_MAX_SUBSETS:
             raise GuardExceededError(
                 f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
             )
-        found, _ = _satisfying_subsets(masks, k, n, int(rng.integers(count)), nodes_left)
+        found = _subset_at_rank(covers, k, int(rng.integers(count)), nodes_left)
     return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
 
 

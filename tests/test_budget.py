@@ -10,8 +10,8 @@ from conftest import random_matrix
 from credalbudget.budget import (
     MAXIMIN_MAX_NODES,
     Criterion,
-    _level_feasible,
-    _satisfying_subsets,
+    _cover_count,
+    _subset_at_rank,
     budgeted_rule,
     cover_family,
     domination_graph_dot,
@@ -164,37 +164,12 @@ def test_reachability_against_exhaustive():
                 assert set().union(*(masks[i] for i in got)) == set(range(n))
 
 
-def test_satisfying_subsets_match_brute_force():
-    # The walker's prunes only cut subtrees without a hit, so the hit at each
-    # rank is the brute-force list's entry at that rank, and one rank past the
-    # end returns the count. Density 0 gives covers that reach only their own
-    # act, density 1 covers that reach all.
-    rng = np.random.default_rng(7)
-    for trial in range(300):
-        n = int(rng.integers(1, 11))
-        density = (0.0, 0.15, 0.3, 0.6, 1.0)[trial % 5]
-        bits = rng.random((n, n)) < density
-        masks = [(1 << i) | sum(1 << j for j in range(n) if bits[i, j]) for i in range(n)]
-        full = (1 << n) - 1
-        for k in range(1, n + 1):
-            expected = [
-                combo
-                for combo in itertools.combinations(range(n), k)
-                if functools.reduce(operator.or_, (masks[i] for i in combo)) == full
-            ]
-            for rank, combo in enumerate(expected):
-                got = _satisfying_subsets(masks, k, n, rank, [MAXIMIN_MAX_NODES])
-                assert got == (combo, rank)
-            count = len(expected)
-            got = _satisfying_subsets(masks, k, n, count, [MAXIMIN_MAX_NODES])
-            assert got == (None, count)
+def random_cover_families():
+    """300 random 0/1 matrices, n in 1..10, with their exact covers at level 0.
 
-
-def test_level_probe_matches_brute_force():
-    # The same random mask families as the walker's test above, written as a
-    # 0/1 matrix probed at level 0: the probe's prunes and bars only cut
-    # subtrees without a cover, so it answers "feasible" exactly when the
-    # brute-force list of satisfying k-subsets is non-empty.
+    Density 0 gives covers that reach only their own act, density 1 covers
+    that reach all.
+    """
     rng = np.random.default_rng(7)
     for trial in range(300):
         n = int(rng.integers(1, 11))
@@ -202,20 +177,53 @@ def test_level_probe_matches_brute_force():
         bits = rng.random((n, n)) < density
         masks = [(1 << i) | sum(1 << j for j in range(n) if bits[i, j]) for i in range(n)]
         matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), np.where(bits, 0.0, 1.0))
-        full = (1 << n) - 1
+        covers = cover_family(matrix, 0.0, tol=0.0)
+        assert list(covers.masks) == masks
+        assert covers.coverers == tuple(
+            sum(1 << i for i in range(n) if masks[i] >> j & 1) for j in range(n)
+        )
+        yield n, covers
+
+
+def satisfying_subsets(covers, k, n):
+    full = (1 << n) - 1
+    return [
+        combo
+        for combo in itertools.combinations(range(n), k)
+        if functools.reduce(operator.or_, (covers.masks[i] for i in combo)) == full
+    ]
+
+
+def test_satisfying_subsets_match_brute_force():
+    # The count's prunes only cut subtrees without a hit and its branches
+    # partition the subsets, so it equals min(cap, count) at every cap (a
+    # double count would show above the true count), and the subset built
+    # at each rank is the brute-force list's entry at that rank.
+    for n, covers in random_cover_families():
         for k in range(1, n + 1):
-            expected = any(
-                functools.reduce(operator.or_, (masks[i] for i in combo)) == full
-                for combo in itertools.combinations(range(n), k)
-            )
-            assert _level_feasible(matrix, 0.0, k, [MAXIMIN_MAX_NODES]) == expected
+            expected = satisfying_subsets(covers, k, n)
+            count = len(expected)
+            for rank, combo in enumerate(expected):
+                assert _subset_at_rank(covers, k, rank, [MAXIMIN_MAX_NODES]) == combo
+            assert _subset_at_rank(covers, k, count, [MAXIMIN_MAX_NODES]) is None
+            for cap in range(1, count + 2):
+                assert _cover_count(covers, k, cap, [MAXIMIN_MAX_NODES]) == min(cap, count)
+
+
+def test_level_probe_matches_brute_force():
+    # The probe is a count capped at 1: it answers "feasible" exactly when
+    # the brute-force list of satisfying k-subsets is non-empty.
+    for n, covers in random_cover_families():
+        for k in range(1, n + 1):
+            expected = int(bool(satisfying_subsets(covers, k, n)))
+            assert _cover_count(covers, k, 1, [MAXIMIN_MAX_NODES]) == expected
 
 
 def test_bisected_level_is_the_first_reachable_level():
     # Integer entries in -2..2 and -50..50 tie often; 0/1 entries moved by
-    # +-2e-13 put levels 2e-13 apart. The probe agrees with the walker at
-    # every candidate level, and the solver returns the lowest level at which
-    # reachability_check finds a subset.
+    # +-2e-13 put levels 2e-13 apart. The probe agrees with
+    # reachability_check at every candidate level, and the solver returns the
+    # lowest level at which reachability_check finds a subset.
     rng = np.random.default_rng(17)
     for trial in range(90):
         n = int(rng.integers(3, 16))
@@ -230,8 +238,9 @@ def test_bisected_level_is_the_first_reachable_level():
         for k in range(1, n):
             first = None
             for level in np.unique(values[n - k - 1:]).tolist():
-                found = reachability_check(cover_family(matrix, level, tol=0.0), k, n)
-                assert _level_feasible(matrix, level, k, [MAXIMIN_MAX_NODES]) == (found is not None)
+                covers = cover_family(matrix, level, tol=0.0)
+                found = reachability_check(covers, k, n)
+                assert _cover_count(covers, k, 1, [MAXIMIN_MAX_NODES]) == (found is not None)
                 if found is not None and first is None:
                     first = level
             assert solve_maximin(matrix, k).value == first
@@ -244,7 +253,7 @@ def negativity_size_matrix():
 
 def test_reachability_spends_the_shared_node_budget():
     # At the lowest level nothing reaches every act, so greedy fails and the
-    # walker visits some nodes before it answers None.
+    # cover search visits some nodes before it answers None.
     matrix = negativity_size_matrix()
     covers = cover_family(matrix, float(matrix.off_diagonal_values().min()))
     nodes_left = [1000]
@@ -260,20 +269,22 @@ def test_level_probe_spends_the_shared_node_budget():
     # Nothing reaches every act at the lowest level, so the probe visits
     # some nodes before it answers "infeasible", and one node less raises.
     matrix = negativity_size_matrix()
-    level = float(matrix.off_diagonal_values().min())
+    covers = cover_family(matrix, float(matrix.off_diagonal_values().min()), tol=0.0)
     nodes_left = [1000]
-    assert not _level_feasible(matrix, level, 5, nodes_left)
+    assert _cover_count(covers, 5, 1, nodes_left) == 0
     used = 1000 - nodes_left[0]
     assert used > 0
-    assert not _level_feasible(matrix, level, 5, [used])
+    assert _cover_count(covers, 5, 1, [used]) == 0
     with pytest.raises(GuardExceededError, match="node guard"):
-        _level_feasible(matrix, level, 5, [used - 1])
+        _cover_count(covers, 5, 1, [used - 1])
 
 
 def test_maximin_bisection_fits_a_small_node_budget(monkeypatch):
     # At 200 acts and k = 20 the bisection's probes visit a few hundred
-    # nodes; the upward level scan with the lexicographic walker was past
-    # 2 million nodes already at 60 acts and k = 12.
+    # nodes, and the seeded count and draw a few thousand; the upward level
+    # scan with an index-order walker was past 2 million nodes already at 60
+    # acts and k = 12, and that walker's seeded count at 100 acts and k = 20
+    # went past 10^7.
     import credalbudget.budget as budget_mod
 
     config = GenConfig(n_acts=200, n_states=5, n_vertices=20, seed=5)
@@ -282,6 +293,10 @@ def test_maximin_bisection_fits_a_small_node_budget(monkeypatch):
     solution = solve_maximin(matrix, 20)
     assert len(solution.subset) == 20
     assert maximin_regret(matrix, solution.subset) == solution.value
+    seeded = solve_maximin(matrix, 20, tie_break="seeded", seed=5)
+    assert len(seeded.subset) == 20
+    assert seeded.value == solution.value
+    assert maximin_regret(matrix, seeded.subset) == solution.value
 
 
 def test_maximin_node_guard(monkeypatch):
@@ -558,6 +573,14 @@ def test_invalid_k_and_tie_break(matrices):
             oracle_solve(matrix, bad)
     with pytest.raises(ValueError):
         solve_minimax(matrix, 2, tie_break="coin-flip")
+
+
+@pytest.mark.parametrize("bad", [0, -1, -3])
+def test_reachability_rejects_k_below_one(matrices, bad):
+    matrix = matrices["intro"]
+    covers = cover_family(matrix, 0.0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        reachability_check(covers, bad, matrix.n)
 
 
 def test_domination_graph_dot(matrices):

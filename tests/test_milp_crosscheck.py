@@ -13,7 +13,7 @@ import pytest
 
 from credalbudget.budget import solve_maximin
 from credalbudget.gen import GenConfig, generate_instance
-from credalbudget.regret import maximin_regret, regret_matrix
+from credalbudget.regret import RegretMatrix, maximin_regret, regret_matrix
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -58,4 +58,19 @@ def test_maximin_value_matches_milp(n, k):
     matrix = regret_matrix(*generate_instance(config))
     solution = solve_maximin(matrix, k)
     assert solution.value == milp_maximin(matrix.entries, k)
+    assert maximin_regret(matrix, solution.subset) == solution.value
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tie_break", ["lex", "seeded"])
+def test_uniform_maximin_value_matches_milp(seed, tie_break):
+    # Unstructured U(0, 1) regrets: no dominance to lean on, so the answer
+    # level's cover search has to do the work.
+    rng = np.random.default_rng(seed)
+    entries = rng.random((60, 60))
+    np.fill_diagonal(entries, 0.0)
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(60)), entries)
+    solution = solve_maximin(matrix, 10, tie_break=tie_break, seed=seed)
+    assert len(solution.subset) == 10
+    assert solution.value == milp_maximin(entries, 10)
     assert maximin_regret(matrix, solution.subset) == solution.value
