@@ -60,7 +60,8 @@ class Criterion(str, Enum):
 class BudgetSolution:
     """A chosen subset of act indices plus the criterion value it achieves.
 
-    `value` is recomputable: applying the criterion's evaluator to `subset`
+    `value` is the optimum an exact solver proved, or the evaluator's value
+    for greedy; either way applying the criterion's evaluator to `subset`
     returns it exactly. `tie_count` is the exact number of optimal subsets
     for the oracle criteria and the lower-bound flag 1 otherwise.
     """
@@ -128,8 +129,7 @@ def solve_minimax(
     whose regret equals the k-th largest. The seeded policy draws these
     three choices uniformly, in that order, and only where there is more
     than one candidate (see _row_top for the top challengers). The returned
-    value is row i_star's k-th largest regret itself, so a signed zero keeps
-    that row's sign.
+    value is row i_star's k-th largest regret.
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
@@ -328,9 +328,9 @@ def solve_maximin(
     subset is the optimum, and feasibility only grows with the level. Each
     probed level asks the counting cover search for one subset; at the
     largest regret every cover is complete, so that level needs no probe.
-    reachability_check then finds the subset at the optimum, so the lex
-    subset is the one its greedy pass returns there, or else the
-    lexicographically first satisfying subset.
+    The value is that lowest feasible level. Under the lex policy,
+    reachability_check finds the subset there: the one its greedy pass
+    returns, or else the lexicographically first satisfying subset.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.
@@ -339,7 +339,7 @@ def solve_maximin(
     ORACLE_MAX_SUBSETS of them, it raises GuardExceededError instead of
     drawing.
 
-    Every cover search of one call, the probes, the lex search and the
+    Every cover search of one call, the probes, the lex search or the
     seeded count and draw included, shares one budget of MAXIMIN_MAX_NODES
     nodes; past it GuardExceededError is raised instead of searching on.
     """
@@ -363,28 +363,32 @@ def solve_maximin(
             lo = mid + 1
     if covers is None:
         covers = cover_family(matrix, float(levels[lo]), tol=0.0)
-    found = reachability_check(covers, k, n, nodes_left=nodes_left)
-    # Every lower level is infeasible and maximin_regret(found) is itself a
-    # level no higher than this one, so the two are equal; the evaluator
-    # keeps the sign of a zero.
-    value = maximin_regret(matrix, found)
-    if rng is not None:
+    if rng is None:
+        found = reachability_check(covers, k, n, nodes_left=nodes_left)
+    else:
         # T satisfies the exact covers at the optimum exactly when
-        # maximin_regret(T) <= value, that is, when T is optimal.
+        # maximin_regret(T) <= levels[lo], that is, when T is optimal.
         count = _cover_count(covers, k, ORACLE_MAX_SUBSETS + 1, nodes_left)
         if count > ORACLE_MAX_SUBSETS:
             raise GuardExceededError(
                 f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
             )
         found = _subset_at_rank(covers, k, int(rng.integers(count)), nodes_left)
-    return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
+    return BudgetSolution(tuple(found), float(levels[lo]), Criterion.MAXIMIN, 1, label)
 
 
-def _base_criterion(criterion) -> Criterion:
+def _family(criterion, family: str) -> tuple[Criterion, Criterion]:
+    """(base, label) for minimax, maximin or one of the family's own two
+    labels; any other criterion raises ValueError."""
     crit = Criterion(criterion)
-    if crit in (Criterion.MINIMAX, Criterion.GREEDY_MINIMAX, Criterion.ORACLE_MINIMAX):
-        return Criterion.MINIMAX
-    return Criterion.MAXIMIN
+    for base in (Criterion.MINIMAX, Criterion.MAXIMIN):
+        label = Criterion(f"{family}-{base.value}")
+        if crit in (base, label):
+            return base, label
+    raise ValueError(
+        f"criterion: expected 'minimax', 'maximin', '{family}-minimax' or "
+        f"'{family}-maximin', got {crit.value!r}"
+    )
 
 
 def solve_greedy(
@@ -406,15 +410,13 @@ def solve_greedy(
     """
     _validate_k(k)
     label, rng = _policy(tie_break, seed)
-    base = _base_criterion(criterion)
+    base, out_crit = _family(criterion, "greedy")
     n = matrix.n
     chosen: list[int] = []
     # One working copy for every round: a taken act is a -inf column, so it
     # never challenges again, and gets a +inf worst regret, so it is never
     # picked again. Removing a column can lower a row's maximum only where
-    # that column attains it, so only those rows are recomputed; == also
-    # matches a +-0 tie, and the sign of a zero maximum never changes which
-    # acts tie at the smallest worst regret.
+    # that column attains it, so only those rows are recomputed.
     regrets = matrix.entries.copy()
     np.fill_diagonal(regrets, NEG_INFINITY)
     worst = regrets.max(axis=1)
@@ -430,9 +432,6 @@ def solve_greedy(
         worst[stale] = regrets.take(stale, axis=0).max(axis=1)
         worst[winner] = np.inf
     evaluator = minimax_regret if base is Criterion.MINIMAX else maximin_regret
-    out_crit = (
-        Criterion.GREEDY_MINIMAX if base is Criterion.MINIMAX else Criterion.GREEDY_MAXIMIN
-    )
     return BudgetSolution(
         tuple(sorted(chosen)), evaluator(matrix, chosen), out_crit, 1, label
     )
@@ -467,7 +466,7 @@ def budgeted_rule(
     return solution.subset
 
 
-def _oracle_scan(matrix: RegretMatrix, k: int, criterion, collect: bool):
+def _oracle_scan(matrix: RegretMatrix, k: int, base: Criterion, collect: bool):
     """(value, first, count, optima): the optimal value, the lex-first optimal
     subset, the number of optimal subsets, and, only when `collect` is set,
     every optimal subset in lex order (else an empty list).
@@ -479,10 +478,8 @@ def _oracle_scan(matrix: RegretMatrix, k: int, criterion, collect: bool):
     over the outsiders j and a min over the members; maximin a min over the
     members and a max over the outsiders. Each chunk adds its ties at the
     running minimum to a count, so memory stays one chunk unless the optima
-    are collected. The value is the evaluator applied to the lex-first
-    optimum, so a signed zero keeps that subset's sign.
+    are collected.
     """
-    base = _base_criterion(criterion)
     n = matrix.n
     size = min(k, n)
     total = math.comb(n, size)
@@ -490,7 +487,6 @@ def _oracle_scan(matrix: RegretMatrix, k: int, criterion, collect: bool):
         raise GuardExceededError(
             f"oracle enumeration of {total} subsets exceeds the {ORACLE_MAX_SUBSETS} guard"
         )
-    evaluator = minimax_regret if base is Criterion.MINIMAX else maximin_regret
     by_column = np.ascontiguousarray(matrix.entries.T)
     chunk = max(1, REGRET_BLOCK_FLOATS // (size * n))
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), size))
@@ -517,24 +513,22 @@ def _oracle_scan(matrix: RegretMatrix, k: int, criterion, collect: bool):
             count += int(np.count_nonzero(tied))
             if collect:
                 optima += map(tuple, members[tied].tolist())
-    return evaluator(matrix, first), first, count, optima
+    return float(best), first, count, optima
 
 
 def oracle_solve(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> BudgetSolution:
     """Exhaustive reference solver: exact optimum, lex-first subset, tie count."""
     _validate_k(k)
-    base = _base_criterion(criterion)
+    base, out_crit = _family(criterion, "oracle")
     value, first, count, _ = _oracle_scan(matrix, k, base, collect=False)
-    out_crit = (
-        Criterion.ORACLE_MINIMAX if base is Criterion.MINIMAX else Criterion.ORACLE_MAXIMIN
-    )
     return BudgetSolution(first, value, out_crit, count, LEX)
 
 
 def oracle_optima(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> list[tuple[int, ...]]:
     """All optimal subsets of size min(k, n) for the criterion."""
     _validate_k(k)
-    return _oracle_scan(matrix, k, criterion, collect=True)[3]
+    base, _ = _family(criterion, "oracle")
+    return _oracle_scan(matrix, k, base, collect=True)[3]
 
 
 def domination_graph_dot(matrix: RegretMatrix, alpha: float) -> str:

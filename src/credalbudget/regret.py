@@ -27,7 +27,11 @@ REGRET_BLOCK_FLOATS = 2**17  # one float64 temporary of 1 MiB per block of outpu
 
 @dataclass(frozen=True, eq=False)
 class RegretMatrix:
-    """Dense pairwise regret table; the diagonal is stored as 0 but never read."""
+    """Dense pairwise regret table; the diagonal is stored as 0 but never read.
+
+    Holds at least one act. No entry is -0.0: the entries are stored as a
+    read-only copy in which a negative zero reads +0.0.
+    """
 
     names: tuple[str, ...]
     entries: np.ndarray
@@ -35,11 +39,14 @@ class RegretMatrix:
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=float)
         n = len(self.names)
+        if n == 0:
+            raise ValueError("matrix: at least one act is required")
         if entries.shape != (n, n):
             raise ValueError(f"matrix: expected shape {(n, n)}, got {entries.shape}")
         if not np.isfinite(entries).all():
             i, j = np.argwhere(~np.isfinite(entries))[0]
             raise ValueError(f"matrix[{i}][{j}]: entries must be finite, got {entries[i, j]}")
+        entries = entries + 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
         object.__setattr__(self, "entries", entries)
         entries.setflags(write=False)
 
@@ -198,7 +205,7 @@ def matrix_to_csv(matrix: RegretMatrix) -> str:
     for j in range(matrix.n):
         row: list[str] = [matrix.names[j]]
         for i in range(matrix.n):
-            row.append("" if i == j else f"{matrix.entries[i, j] + 0.0:.6f}")
+            row.append("" if i == j else f"{matrix.entries[i, j]:.6f}")
         writer.writerow(row)
     return buf.getvalue()
 

@@ -382,6 +382,21 @@ def test_budgeted_rule_refuses_inexact_criteria(matrices, criterion):
             budgeted_rule(intro, k, criterion)
 
 
+OTHER_FAMILY = [
+    (solver, criterion)
+    for solver in (oracle_solve, oracle_optima)
+    for criterion in (Criterion.GREEDY_MINIMAX, Criterion.GREEDY_MAXIMIN)
+] + [(solve_greedy, c) for c in (Criterion.ORACLE_MINIMAX, Criterion.ORACLE_MAXIMIN)]
+
+
+@pytest.mark.parametrize(
+    "solver, criterion", OTHER_FAMILY, ids=[f"{s.__name__}-{c.value}" for s, c in OTHER_FAMILY]
+)
+def test_oracle_and_greedy_refuse_each_others_labels(matrices, solver, criterion):
+    with pytest.raises(ValueError, match=f"criterion.*got '{criterion.value}'"):
+        solver(matrices["intro"], 2, criterion)
+
+
 def test_oracle_tie_count(matrices):
     matrix = matrices["intro"]
     solution = oracle_solve(matrix, 3, Criterion.MINIMAX)

@@ -11,6 +11,7 @@ from credalbudget.budget import (
     oracle_optima,
     oracle_solve,
     reachability_check,
+    solve_greedy,
     solve_maximin,
     solve_minimax,
 )
@@ -24,6 +25,7 @@ from credalbudget.regret import (
 )
 
 COMMON = dict(deadline=None, derandomize=True)
+EVALUATORS = {Criterion.MINIMAX: minimax_regret, Criterion.MAXIMIN: maximin_regret}
 
 
 @st.composite
@@ -151,7 +153,30 @@ def test_seeded_maximin_draws_from_oracle_optima(matrix, k, seed):
     k = min(k, matrix.n)
     optima = oracle_optima(matrix, k, Criterion.MAXIMIN)
     pick = np.random.default_rng(np.random.PCG64(seed)).integers(len(optima))
-    assert solve_maximin(matrix, k, tie_break="seeded", seed=seed).subset == optima[pick]
+    solution = solve_maximin(matrix, k, tie_break="seeded", seed=seed)
+    assert solution.subset == optima[pick]
+    assert repr(solution.value) == repr(maximin_regret(matrix, solution.subset))
+    assert repr(solution.value) == repr(oracle_solve(matrix, k, Criterion.MAXIMIN).value)
+
+
+@settings(max_examples=300, **COMMON)
+@given(tied_matrix(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_values_match_their_evaluators_and_the_oracle(matrix, k, seed):
+    zeros = matrix.entries[matrix.entries == 0]
+    assert not np.signbit(zeros).any()
+    k = min(k, matrix.n)
+    solutions = [
+        (Criterion.MINIMAX, solve_minimax(matrix, k)),
+        (Criterion.MINIMAX, solve_minimax(matrix, k, tie_break="seeded", seed=seed)),
+        (Criterion.MAXIMIN, solve_maximin(matrix, k)),
+    ]
+    for criterion, solution in solutions:
+        evaluator = EVALUATORS[criterion]
+        assert repr(solution.value) == repr(evaluator(matrix, solution.subset))
+        assert repr(solution.value) == repr(oracle_solve(matrix, k, criterion).value)
+    for criterion, evaluator in EVALUATORS.items():
+        greedy = solve_greedy(matrix, k, criterion)
+        assert repr(greedy.value) == repr(evaluator(matrix, greedy.subset))
 
 
 @settings(max_examples=60, **COMMON)

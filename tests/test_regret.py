@@ -145,6 +145,11 @@ def test_shared_credal_set_is_thread_safe(problems):
     assert parallel == sequential
 
 
+def test_regret_matrix_needs_an_act():
+    with pytest.raises(ValueError, match="matrix: at least one act is required"):
+        RegretMatrix((), np.zeros((0, 0)))
+
+
 def test_single_act_is_maximal():
     matrix = RegretMatrix(("only",), np.zeros((1, 1)))
     assert maximal_acts(matrix) == (0,)
@@ -159,6 +164,10 @@ def test_csv_round_trip(matrices):
         back = matrix_from_csv(text)
         assert back.names == matrix.names
         assert np.max(np.abs(back.entries - matrix.entries)) <= 1e-6
+    # a negative zero cell loads as +0.0 and is written back without its sign
+    back = matrix_from_csv(",a1,a2\na1,,-0.000000\na2,1.500000,\n")
+    assert back.entries[1, 0] == 0.0 and not np.signbit(back.entries[1, 0])
+    assert matrix_to_csv(back) == ",a1,a2\na1,,0.000000\na2,1.500000,\n"
 
 
 def test_csv_diagonal_empty(matrices):
