@@ -95,29 +95,21 @@ def run_consistency_trials(
 
 def run_negativity_trials(
     trials: int,
+    config: GenConfig,
     dm_sizes,
     offsets,
     master_seed: int,
-    *,
-    n_acts: int = 20,
-    n_states: int = 5,
-    n_vertices: int = 20,
 ) -> list[dict]:
-    """Per-trial rows: optimal values at budgets just past each targeted maximality count."""
+    """Per-trial rows: optimal values at budgets just past each targeted maximality count.
+
+    Instances have the shape of `config`, with target_dm and seed set per instance."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows: list[dict] = []
     for dm_size in dm_sizes:
         seeds = trial_seeds(master_seed + dm_size, trials)
         for trial, seed in enumerate(seeds):
-            config = GenConfig(
-                n_acts=n_acts,
-                n_states=n_states,
-                n_vertices=n_vertices,
-                target_dm=dm_size,
-                seed=seed,
-            )
-            acts, credal = generate_instance(config)
+            acts, credal = generate_instance(replace(config, target_dm=dm_size, seed=seed))
             matrix = regret_matrix(acts, credal)
             for offset in offsets:
                 k = dm_size + offset

@@ -39,7 +39,7 @@ from .regret import (
     minimax_regret,
 )
 
-COVER_TOL = 1e-12
+COVER_TOL = 1e-12  # domination_graph_dot's slack above alpha
 ORACLE_MAX_SUBSETS = 10**6
 MAXIMIN_MAX_NODES = 10**7
 
@@ -76,16 +76,13 @@ class BudgetSolution:
 @dataclass(frozen=True)
 class CoverFamily:
     """Per-act bitmasks of the acts answered at regret <= alpha, and of the
-    acts that answer them.
+    acts that answer them, for the level alpha given to cover_family.
 
-    Bit j of masks[i] is set exactly when entries[i, j] <= alpha + tol, for
-    the `tol` given to cover_family (COVER_TOL by default), or when j == i:
-    an act always answers for itself. coverers is the transpose: bit i of
-    coverers[j] is set exactly when bit j of masks[i] is. solve_maximin
-    passes tol=0.0, so its covers are exact.
+    Bit j of masks[i] is set exactly when entries[i, j] <= alpha, or when
+    j == i: an act always answers for itself. coverers is the transpose:
+    bit i of coverers[j] is set exactly when bit j of masks[i] is.
     """
 
-    alpha: float
     masks: tuple[int, ...]
     coverers: tuple[int, ...]
 
@@ -172,22 +169,22 @@ def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None)
     return top, threshold, _pick(at_min, rng)
 
 
-def cover_family(matrix: RegretMatrix, alpha: float, *, tol: float = COVER_TOL) -> CoverFamily:
-    """Acts each act answers at level alpha, itself included, and their coverers."""
+def cover_family(matrix: RegretMatrix, alpha: float) -> CoverFamily:
+    """Acts each act answers at regret <= alpha, itself included, and their coverers."""
     n = matrix.n
-    within = matrix.entries <= alpha + tol
+    within = matrix.entries <= alpha
     np.fill_diagonal(within, True)
     packed = np.packbits(np.concatenate((within, within.T)), axis=1, bitorder="little")
     width = packed.shape[1]
     data = packed.tobytes()
     both = [int.from_bytes(data[r:r + width], "little") for r in range(0, len(data), width)]
-    return CoverFamily(float(alpha), tuple(both[:n]), tuple(both[n:]))
+    return CoverFamily(tuple(both[:n]), tuple(both[n:]))
 
 
 def reachability_check(
-    covers: CoverFamily, k: int, n: int, *, nodes_left: list[int] | None = None
+    covers: CoverFamily, k: int, *, nodes_left: list[int] | None = None
 ) -> tuple[int, ...] | None:
-    """Find T with |T| = k whose members plus their covers reach all n acts.
+    """Find T with |T| = k whose members plus their covers reach all n = len(covers.masks) acts.
 
     Returns None when no such T exists. A greedy pass first picks, k times,
     the act covering the most still-uncovered acts and returns at once if
@@ -198,11 +195,10 @@ def reachability_check(
     the search raises GuardExceededError once it is spent.
     """
     _validate_k(k)
+    masks = covers.masks
+    n = len(masks)
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of acts {n}")
-    masks = covers.masks
-    if len(masks) != n:
-        raise ValueError("cover family size does not match n")
     if k == n:
         return tuple(range(n))
 
@@ -356,15 +352,15 @@ def solve_maximin(
     covers = None  # the covers at levels[hi] once a probe has found them feasible
     while lo < hi:
         mid = (lo + hi) // 2
-        probe = cover_family(matrix, float(levels[mid]), tol=0.0)
+        probe = cover_family(matrix, float(levels[mid]))
         if _cover_count(probe, k, 1, nodes_left):
             hi, covers = mid, probe
         else:
             lo = mid + 1
     if covers is None:
-        covers = cover_family(matrix, float(levels[lo]), tol=0.0)
+        covers = cover_family(matrix, float(levels[lo]))
     if rng is None:
-        found = reachability_check(covers, k, n, nodes_left=nodes_left)
+        found = reachability_check(covers, k, nodes_left=nodes_left)
     else:
         # T satisfies the exact covers at the optimum exactly when
         # maximin_regret(T) <= levels[lo], that is, when T is optimal.
@@ -532,8 +528,9 @@ def oracle_optima(matrix: RegretMatrix, k: int, criterion=Criterion.MINIMAX) -> 
 
 
 def domination_graph_dot(matrix: RegretMatrix, alpha: float) -> str:
-    """DOT digraph with an edge i -> j when act i answers challenger j at alpha."""
-    covers = cover_family(matrix, alpha)
+    """DOT digraph with an edge i -> j when act i answers challenger j at
+    regret <= alpha + COVER_TOL, so an entry equal to alpha up to rounding keeps its edge."""
+    covers = cover_family(matrix, alpha + COVER_TOL)
     # quoted DOT IDs; escaping \ and " keeps a name from ending its string early
     ids = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in matrix.names]
     lines = ["digraph domination {", f'  label="alpha = {alpha:g}";']

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -272,6 +273,8 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise ProblemFormatError(f"{flag}: expected comma-separated integers, got {text!r}") from None
     if not values:
         raise ProblemFormatError(f"{flag}: expected at least one integer, got {text!r}")
+    if len(set(values)) != len(values):
+        raise ProblemFormatError(f"{flag}: each value may appear only once, got {text!r}")
     return values
 
 
@@ -283,6 +286,7 @@ def _cmd_experiment(args) -> int:
             raise ProblemFormatError(f"--{name}: must be >= 1, got {value}")
     if args.seed < 0:
         raise ProblemFormatError(f"--seed: must be >= 0, got {args.seed}")
+    config = GenConfig(n_acts=args.acts, n_states=args.states, n_vertices=args.vertices)
     # at k >= --acts every rule keeps the whole act set at value -inf
     if args.protocol == "consistency":
         if not 1 <= args.k_min <= args.k_max:
@@ -298,15 +302,9 @@ def _cmd_experiment(args) -> int:
                 f"--k-max: must be below --acts {args.acts}, got {args.k_max}"
             )
         trials = 100 if args.trials is None else args.trials
-        config = GenConfig(
-            n_acts=args.acts,
-            n_states=args.states,
-            n_vertices=args.vertices,
-            target_dm=args.target_dm,
-            seed=0,
-        )
         run = partial(
-            run_consistency_trials, trials, config, range(args.k_min, args.k_max + 1), args.seed
+            run_consistency_trials, trials, replace(config, target_dm=args.target_dm),
+            range(args.k_min, args.k_max + 1), args.seed,
         )
         aggregate = consistency_aggregate
     else:
@@ -323,10 +321,7 @@ def _cmd_experiment(args) -> int:
             raise ProblemFormatError(
                 f"--offsets: budget {max(dm_sizes)} + {max(offsets)} is not below --acts {args.acts}"
             )
-        run = partial(
-            run_negativity_trials, trials, dm_sizes, offsets, args.seed,
-            n_acts=args.acts, n_states=args.states, n_vertices=args.vertices,
-        )
+        run = partial(run_negativity_trials, trials, config, dm_sizes, offsets, args.seed)
         aggregate = negativity_aggregate
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out-dir fails before any trial
     trial_rows = run()

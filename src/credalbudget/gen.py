@@ -20,15 +20,14 @@ RETRY_GUARD = 10_000
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Shape of a random instance; target_dm rejects until the maximality
-    set has exactly that many acts."""
+    """Shape of a random instance, whose payoffs are integers drawn uniformly
+    from 0..100; target_dm rejects until the maximality set has exactly that
+    many acts."""
 
     n_acts: int
     n_states: int
     n_vertices: int
     target_dm: int | None = None
-    payoff_range: tuple[float, float] = (0.0, 100.0)
-    integer_payoffs: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -38,11 +37,6 @@ class GenConfig:
             raise ValueError(
                 f"gen config: target_dm must lie in [1, {self.n_acts}], got {self.target_dm}"
             )
-        lo, hi = self.payoff_range
-        if not lo < hi:
-            raise ValueError("gen config: payoff_range must be a nonempty interval")
-        if self.integer_payoffs and (lo != int(lo) or hi != int(hi)):
-            raise ValueError("gen config: integer payoffs need integral range endpoints")
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -71,14 +65,6 @@ def sample_simplex(n_states: int, count: int, seed) -> np.ndarray:
     return logs / logs.sum(axis=1, keepdims=True)
 
 
-def _draw_payoffs(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = config.payoff_range
-    shape = (config.n_acts, config.n_states)
-    if config.integer_payoffs:
-        return rng.integers(int(lo), int(hi), size=shape, endpoint=True).astype(float)
-    return rng.uniform(lo, hi, size=shape)
-
-
 def generate_instance(config: GenConfig) -> tuple[list[Act], CredalSet]:
     """Sample a vertex-form credal set and an act set per the config.
 
@@ -88,9 +74,10 @@ def generate_instance(config: GenConfig) -> tuple[list[Act], CredalSet]:
     """
     rng = _as_rng(config.seed)
     names = tuple(f"a{i + 1}" for i in range(config.n_acts))
+    shape = (config.n_acts, config.n_states)
     for _ in range(RETRY_GUARD):
         credal = CredalSet.from_vertices(sample_simplex(config.n_states, config.n_vertices, rng))
-        payoffs = _draw_payoffs(config, rng)
+        payoffs = rng.integers(0, 100, size=shape, endpoint=True).astype(float)  # 0..100 inclusive
         if config.target_dm is not None:
             entries = pairwise_regret_from_vertices(credal.vertices, payoffs)
             dm = maximal_acts(RegretMatrix(names, entries))

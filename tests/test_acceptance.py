@@ -318,7 +318,7 @@ def test_criterion_7_experiment_trends():
     if not strong_greedy < strong_plus:
         failures.append(f"k=6 strong rates: greedy {strong_greedy} >= exact {strong_plus}")
 
-    negativity = run_negativity_trials(50, (2, 5, 10), (0, 1, 2, 3), master_seed=7)
+    negativity = run_negativity_trials(50, config, (2, 5, 10), (0, 1, 2, 3), master_seed=7)
     for row in negativity:
         if not row["maximin_negative"]:
             failures.append(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from credalbudget.bench import (
@@ -66,9 +68,7 @@ def test_aggregate_matches_recomputation_from_csv(tmp_path, small_run):
 
 
 def test_negativity_protocol(tmp_path):
-    rows = run_negativity_trials(
-        4, (2, 3), (0, 1), master_seed=23, n_acts=8, n_states=3, n_vertices=4
-    )
+    rows = run_negativity_trials(4, SMALL, (2, 3), (0, 1), master_seed=23)
     assert len(rows) == 4 * 2 * 2
     for row in rows:
         assert row["k"] >= row["dm_size"]
@@ -88,8 +88,9 @@ def test_runs_are_deterministic_per_seed():
     a = run_consistency_trials(3, SMALL, range(2, 4), master_seed=11)
     b = run_consistency_trials(3, SMALL, range(2, 4), master_seed=11)
     assert a == b
-    c = run_negativity_trials(2, (2,), (0, 1), master_seed=5, n_acts=8, n_states=3, n_vertices=4)
-    d = run_negativity_trials(2, (2,), (0, 1), master_seed=5, n_acts=8, n_states=3, n_vertices=4)
+    c = run_negativity_trials(2, SMALL, (2, 4), (0, 1), master_seed=5)
+    # target_dm and seed are set per instance, so the config's own go unused
+    d = run_negativity_trials(2, replace(SMALL, target_dm=None, seed=99), (2, 4), (0, 1), 5)
     assert c == d
 
 
@@ -97,4 +98,4 @@ def test_trials_validation():
     with pytest.raises(ValueError):
         run_consistency_trials(0, SMALL, range(2, 3), master_seed=1)
     with pytest.raises(ValueError):
-        run_negativity_trials(0, (2,), (0,), master_seed=1)
+        run_negativity_trials(0, SMALL, (2,), (0,), master_seed=1)

@@ -115,14 +115,16 @@ def test_cover_family_membership(matrices):
         assert covers.masks[i] >> i & 1  # an act always answers for itself
         assert covers.masks[i] >> matrix.n == 0
         for j in challengers(covers, i):
-            assert matrix.entries[i, j] <= covers.alpha + 1e-12
+            assert matrix.entries[i, j] <= -1.0
 
 
 def test_cover_tolerance_boundary():
+    # Covers are exact; only the graph adds the 1e-12 slack above alpha.
     entries = np.array([[0.0, 0.5], [0.5 + 5e-13, 0.0]])
     matrix = RegretMatrix(("x", "y"), entries)
-    covers = cover_family(matrix, 0.5)
-    assert challengers(covers, 1) == {0}  # within the 1e-12 equality slack
+    assert challengers(cover_family(matrix, 0.5), 1) == set()
+    assert '"y" -> "x";' in domination_graph_dot(matrix, 0.5)
+    assert '"y" -> "x";' not in domination_graph_dot(matrix, 0.5 - 1e-12)
 
 
 def test_maximin_keeps_levels_closer_than_the_cover_tolerance_apart():
@@ -136,10 +138,12 @@ def test_maximin_keeps_levels_closer_than_the_cover_tolerance_apart():
 
 def test_reachability_examples(matrices):
     matrix = matrices["sixacts"]
-    assert reachability_check(cover_family(matrix, -1.0), 2, 6) is None
-    found = reachability_check(cover_family(matrix, -0.7), 2, 6)
+    assert reachability_check(cover_family(matrix, -1.0), 2) is None
+    found = reachability_check(cover_family(matrix, -0.7), 2)
     assert found is not None and names_of(matrix, found) == {"a3", "a6"}
-    assert reachability_check(cover_family(matrix, -1.0), 6, 6) == tuple(range(6))
+    assert reachability_check(cover_family(matrix, -1.0), 6) == tuple(range(6))
+    with pytest.raises(ValueError, match="exceeds the number of acts"):
+        reachability_check(cover_family(matrix, -1.0), 7)
 
 
 def test_reachability_against_exhaustive():
@@ -150,7 +154,7 @@ def test_reachability_against_exhaustive():
         alpha = float(rng.choice(matrix.off_diagonal_values()))
         covers = cover_family(matrix, alpha)
         for k in range(1, n + 1):
-            got = reachability_check(covers, k, n)
+            got = reachability_check(covers, k)
             masks = [bits_of(covers.masks[i], n) for i in range(n)]
             solutions = [
                 combo
@@ -177,7 +181,7 @@ def random_cover_families():
         bits = rng.random((n, n)) < density
         masks = [(1 << i) | sum(1 << j for j in range(n) if bits[i, j]) for i in range(n)]
         matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), np.where(bits, 0.0, 1.0))
-        covers = cover_family(matrix, 0.0, tol=0.0)
+        covers = cover_family(matrix, 0.0)
         assert list(covers.masks) == masks
         assert covers.coverers == tuple(
             sum(1 << i for i in range(n) if masks[i] >> j & 1) for j in range(n)
@@ -238,8 +242,8 @@ def test_bisected_level_is_the_first_reachable_level():
         for k in range(1, n):
             first = None
             for level in np.unique(values[n - k - 1:]).tolist():
-                covers = cover_family(matrix, level, tol=0.0)
-                found = reachability_check(covers, k, n)
+                covers = cover_family(matrix, level)
+                found = reachability_check(covers, k)
                 assert _cover_count(covers, k, 1, [MAXIMIN_MAX_NODES]) == (found is not None)
                 if found is not None and first is None:
                     first = level
@@ -257,19 +261,19 @@ def test_reachability_spends_the_shared_node_budget():
     matrix = negativity_size_matrix()
     covers = cover_family(matrix, float(matrix.off_diagonal_values().min()))
     nodes_left = [1000]
-    assert reachability_check(covers, 5, matrix.n, nodes_left=nodes_left) is None
+    assert reachability_check(covers, 5, nodes_left=nodes_left) is None
     used = 1000 - nodes_left[0]
     assert used > 0
-    assert reachability_check(covers, 5, matrix.n, nodes_left=[used]) is None
+    assert reachability_check(covers, 5, nodes_left=[used]) is None
     with pytest.raises(GuardExceededError, match="node guard"):
-        reachability_check(covers, 5, matrix.n, nodes_left=[used - 1])
+        reachability_check(covers, 5, nodes_left=[used - 1])
 
 
 def test_level_probe_spends_the_shared_node_budget():
     # Nothing reaches every act at the lowest level, so the probe visits
     # some nodes before it answers "infeasible", and one node less raises.
     matrix = negativity_size_matrix()
-    covers = cover_family(matrix, float(matrix.off_diagonal_values().min()), tol=0.0)
+    covers = cover_family(matrix, float(matrix.off_diagonal_values().min()))
     nodes_left = [1000]
     assert _cover_count(covers, 5, 1, nodes_left) == 0
     used = 1000 - nodes_left[0]
@@ -595,7 +599,7 @@ def test_reachability_rejects_k_below_one(matrices, bad):
     matrix = matrices["intro"]
     covers = cover_family(matrix, 0.0)
     with pytest.raises(ValueError, match="k must be >= 1"):
-        reachability_check(covers, bad, matrix.n)
+        reachability_check(covers, bad)
 
 
 def test_domination_graph_dot(matrices):

@@ -91,6 +91,8 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
         (["--protocol", "negativity", "--offsets", "5", "--dm-sizes", "2", "--acts", "3"],
          "--offsets"),
         (["--protocol", "negativity", "--dm-sizes", "20"], "--offsets"),
+        (["--protocol", "negativity", "--dm-sizes", "2,2"], "--dm-sizes"),
+        (["--protocol", "negativity", "--offsets", "0,0"], "--offsets"),
     ],
 )
 def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, flags, flag):

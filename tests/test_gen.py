@@ -52,31 +52,18 @@ def test_generate_instance_loose_target_first_try():
 
 
 def test_generate_instance_payoff_range():
-    config = GenConfig(n_acts=10, n_states=4, n_vertices=3, payoff_range=(10, 20), seed=8)
+    config = GenConfig(n_acts=10, n_states=4, n_vertices=3, seed=8)
     acts, _ = generate_instance(config)
     values = np.array([a.payoffs for a in acts])
-    assert values.min() >= 10 and values.max() <= 20
+    assert values.min() >= 0 and values.max() <= 100
     assert np.array_equal(values, np.round(values))
 
 
-def test_generate_instance_float_payoffs():
-    config = GenConfig(
-        n_acts=5, n_states=3, n_vertices=2, payoff_range=(0.0, 1.0),
-        integer_payoffs=False, seed=4,
-    )
-    acts, _ = generate_instance(config)
-    values = np.array([a.payoffs for a in acts])
-    assert values.min() >= 0.0 and values.max() <= 1.0
-
-
 def test_retry_guard_exhausts(monkeypatch):
-    # one state and continuous payoffs: a two-act tie has probability zero,
-    # so demanding two maximal acts exhausts the retry budget
+    # one state: all four acts are maximal only when their payoffs tie, a
+    # chance of 101**-3 per attempt, so the retry budget runs out
     monkeypatch.setattr(gen, "RETRY_GUARD", 50)
-    config = GenConfig(
-        n_acts=2, n_states=1, n_vertices=1, target_dm=2,
-        payoff_range=(0.0, 1.0), integer_payoffs=False, seed=11,
-    )
+    config = GenConfig(n_acts=4, n_states=1, n_vertices=1, target_dm=4, seed=11)
     with pytest.raises(GuardExceededError):
         generate_instance(config)
 
@@ -104,9 +91,5 @@ def test_config_validation():
         GenConfig(n_acts=0, n_states=2, n_vertices=2)
     with pytest.raises(ValueError):
         GenConfig(n_acts=3, n_states=2, n_vertices=2, target_dm=4)
-    with pytest.raises(ValueError):
-        GenConfig(n_acts=3, n_states=2, n_vertices=2, payoff_range=(5.0, 5.0))
-    with pytest.raises(ValueError):
-        GenConfig(n_acts=3, n_states=2, n_vertices=2, payoff_range=(0.5, 9.5))
     with pytest.raises(ValueError):
         sample_simplex(0, 5, seed=1)

@@ -198,7 +198,7 @@ def test_reachability_result_always_covers(seed, pick):
     alpha = float(np.sort(values)[pick % values.size])
     covers = cover_family(matrix, alpha)
     for k in range(1, n + 1):
-        found = reachability_check(covers, k, n)
+        found = reachability_check(covers, k)
         if found is not None:
             assert len(found) == k
             reached = 0
