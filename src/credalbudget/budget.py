@@ -3,21 +3,26 @@
 The minimax solver is the direct polynomial selection over per-act top-k
 regret columns. The maximin solver bisects the candidate levels alpha: k
 acts can answer every outside challenger at regret <= alpha at every level
-above a feasible one, so the lowest feasible level is found by asking that
-question at about log2(n^2) levels. Covers are int bitmasks: per act, the
-acts it answers and the acts that answer it. One counting cover search
-answers every maximin question. It counts, up to a cap, the k-subsets that
-reach every act, branching on the uncovered act with the fewest coverers
-left (the most-constrained-first rule of Knuth's Dancing Links) and barring
-each coverer once tried, so its branches partition the subsets; it prunes
-when the largest gains of the acts still to pick cannot reach every act not
-yet covered. A probe asks it for one subset. At the lowest feasible level,
-which is the optimum itself, the subset comes from a greedy pass or else
-is built pick by pick from counts: the satisfying subset at lexicographic
-rank 0 for the lex policy, and for the seeded policy first a count of the
-optima, then the drawn rank. All searches of one solve count their nodes
-against one budget and raise GuardExceededError past MAXIMIN_MAX_NODES. A
-brute-force oracle evaluates every subset for cross-checking.
+above a feasible one, so the lowest feasible level is found by bisecting
+between two bounds. No level below the (n - k)-th smallest column minimum
+is feasible, since each of the n - k acts left out needs an answer within
+it, and the minimax subset's own maximin regret is a feasible level. Covers
+are int bitmasks: per act, the acts it answers and the acts that answer it.
+One counting cover search answers every maximin question. It counts, up to
+a cap, the k-subsets that reach every act, branching on the uncovered act
+with the fewest coverers left (the most-constrained-first rule of Knuth's
+Dancing Links) and barring each coverer once tried, so its branches
+partition the subsets. It prunes when more uncovered acts have pairwise
+disjoint coverers than acts are still to pick (a packing bound from exact
+dominating-set search), and when the largest gains of the acts still to
+pick cannot reach every act not yet covered. A probe asks it for one
+subset. At the lowest feasible level, which is the optimum itself, the
+subset comes from a greedy pass or else is built pick by pick from counts:
+the satisfying subset at lexicographic rank 0 for the lex policy, and for
+the seeded policy first a count of the optima, then the drawn rank. All
+searches of one solve count their nodes against one budget and raise
+GuardExceededError past MAXIMIN_MAX_NODES. A brute-force oracle evaluates
+every subset for cross-checking.
 """
 
 from __future__ import annotations
@@ -239,10 +244,13 @@ def _cover_count(
     trying them by decreasing gain, lower index first. Each coverer tried is
     barred from the rest of its node, so the branches partition the subsets
     and count each one once. A node whose acts are all covered counts every
-    way to fill its picks, one with a single pick left counts the acts that
-    cover all that is missing, and one whose largest `picks` gains cannot
-    cover it counts none. Each node spends one unit of nodes_left[0]; the
-    search raises GuardExceededError once the budget is spent.
+    way to fill its picks, and one with a single pick left counts the acts
+    that cover all that is missing. A node counts none when it finds more
+    than `picks` uncovered acts with pairwise disjoint allowed coverers,
+    keeping them greedily by fewest coverers, or when its largest `picks`
+    gains cannot cover all that is missing. Each node spends one unit of
+    nodes_left[0]; the search raises GuardExceededError once the budget is
+    spent.
     """
     masks, coverers = covers.masks, covers.coverers
     n = len(masks)
@@ -261,16 +269,22 @@ def _cover_count(
         if not missing:
             return min(cap, math.comb(allowed.bit_count(), picks))
         if picks == 1:
-            for j in range(n):
-                if missing >> j & 1:
-                    allowed &= coverers[j]
-            return min(cap, allowed.bit_count())
+            return min(cap, _completers(coverers, missing, allowed).bit_count())
+        needs = sorted(
+            [coverers[j] & allowed for j in range(n) if missing >> j & 1], key=int.bit_count
+        )
+        # Acts whose allowed coverers are pairwise disjoint need a pick each.
+        packed, apart = 0, 0
+        for need in needs:
+            if not need & packed:
+                packed |= need
+                apart += 1
+                if apart > picks:
+                    return 0
         gains = [(masks[i] & missing).bit_count() for i in pool]
         if sum(sorted(gains, reverse=True)[:picks]) < missing.bit_count():
             return 0
-        options = min(
-            [coverers[j] & allowed for j in range(n) if missing >> j & 1], key=int.bit_count
-        )
+        options = needs[0]
         total = 0
         for _, i in sorted([(-g, i) for g, i in zip(gains, pool) if options >> i & 1]):
             allowed &= ~(1 << i)
@@ -285,6 +299,14 @@ def _cover_count(
     return found
 
 
+def _completers(coverers: tuple[int, ...], missing: int, allowed: int) -> int:
+    """The acts in `allowed` that each cover every act in `missing`."""
+    for j in range(len(coverers)):
+        if missing >> j & 1:
+            allowed &= coverers[j]
+    return allowed
+
+
 def _subset_at_rank(
     covers: CoverFamily, k: int, rank: int, nodes_left: list[int]
 ) -> tuple[int, ...] | None:
@@ -293,13 +315,15 @@ def _subset_at_rank(
 
     Each pick takes the lowest act i above the last pick whose completions
     by acts above i, counted up to rank + 1, exceed `rank`; the counts of
-    the acts passed over are subtracted from `rank` on the way.
+    the acts passed over are subtracted from `rank` on the way. The last
+    pick needs no count: it is the act at position `rank` among the acts
+    above the previous pick that cover everything still missing.
     """
     n = len(covers.masks)
     chosen: list[int] = []
     covered = 0
     start = 0
-    for picks in range(k, 0, -1):
+    for picks in range(k, 1, -1):
         for i in range(start, n - picks + 1):
             reached = covered | covers.masks[i]
             tail = _cover_count(covers, picks - 1, rank + 1, nodes_left, reached, i + 1)
@@ -311,7 +335,13 @@ def _subset_at_rank(
         chosen.append(i)
         covered = reached
         start = i + 1
-    return tuple(chosen)
+    full = (1 << n) - 1
+    last = _completers(covers.coverers, full & ~covered, full >> start << start)
+    if last.bit_count() <= rank:
+        return None
+    for _ in range(rank):
+        last &= last - 1
+    return (*chosen, (last & -last).bit_length() - 1)
 
 
 def solve_maximin(
@@ -319,14 +349,18 @@ def solve_maximin(
 ) -> BudgetSolution:
     """Optimal size-min(k, n) subset under the maximin regret criterion.
 
-    Bisects the distinct off-diagonal regrets from the (n - k)-th lowest up:
-    the lowest level whose exact cover family admits a size-k reachability
-    subset is the optimum, and feasibility only grows with the level. Each
-    probed level asks the counting cover search for one subset; at the
-    largest regret every cover is complete, so that level needs no probe.
-    The value is that lowest feasible level. Under the lex policy,
-    reachability_check finds the subset there: the one its greedy pass
-    returns, or else the lexicographically first satisfying subset.
+    Bisects the distinct off-diagonal regrets between two bounds: the lowest
+    level whose exact cover family admits a size-k reachability subset is
+    the optimum, and feasibility only grows with the level. The floor is the
+    first level at or above the (n - k)-th smallest off-diagonal column
+    minimum, since each act outside a subset is answered at no less than its
+    column minimum. The ceiling is the maximin regret of the lex minimax
+    subset, which reaches every act at that level, so the ceiling needs no
+    probe; it is at most the minimax optimum. Each probed level asks the
+    counting cover search for one subset. The value is that lowest feasible
+    level. Under the lex policy, reachability_check finds the subset there:
+    the one its greedy pass returns, or else the lexicographically first
+    satisfying subset.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.
@@ -346,9 +380,13 @@ def solve_maximin(
         return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MAXIMIN, 1, label)
 
     nodes_left = [MAXIMIN_MAX_NODES]
-    values = np.sort(matrix.off_diagonal_values())
-    levels = np.unique(values[n - k - 1:])
-    lo, hi = 0, len(levels) - 1  # every cover is complete at the top level
+    levels = np.unique(matrix.off_diagonal_values())
+    # Each of the n - k acts outside T is answered at no less than its column minimum.
+    column_mins = np.where(np.eye(n, dtype=bool), np.inf, matrix.entries).min(axis=0)
+    lo = int(np.searchsorted(levels, np.partition(column_mins, n - k - 1)[n - k - 1]))
+    # The minimax subset reaches every act at its own maximin regret.
+    witness = maximin_regret(matrix, solve_minimax(matrix, k).subset)
+    hi = int(np.searchsorted(levels, witness))
     covers = None  # the covers at levels[hi] once a probe has found them feasible
     while lo < hi:
         mid = (lo + hi) // 2

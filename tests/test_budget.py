@@ -9,6 +9,7 @@ import pytest
 from conftest import random_matrix
 from credalbudget.budget import (
     MAXIMIN_MAX_NODES,
+    CoverFamily,
     Criterion,
     _cover_count,
     _subset_at_rank,
@@ -567,16 +568,46 @@ def test_value_monotone_in_k():
 
 
 def test_maximin_alpha_bounds():
-    # accepted level is at least the (n-k)-th lowest entry and at most the
-    # minimax value
-    for seed in range(25):
-        matrix = random_matrix(seed + 3000)
+    # The optimum lies in the bisection's bracket: at or above the (n-k)-th
+    # smallest off-diagonal column minimum (each act left out is answered at
+    # no less than its column minimum) and at most the maximin regret of the
+    # lex minimax subset, itself at most the minimax optimum. Integer
+    # matrices put many entries, column minima and levels on one value.
+    rng = np.random.default_rng(3000)
+    matrices = [random_matrix(seed + 3000) for seed in range(25)]
+    for span in (1, 2, 5) * 5:
+        n = int(rng.integers(2, 10))
+        entries = rng.integers(-span, span + 1, (n, n)).astype(float)
+        np.fill_diagonal(entries, 0.0)
+        matrices.append(RegretMatrix(tuple(f"a{i}" for i in range(n)), entries))
+    for matrix in matrices:
         n = matrix.n
-        ordered = np.sort(matrix.off_diagonal_values())
+        shielded = matrix.entries.copy()
+        np.fill_diagonal(shielded, np.inf)
+        column_mins = np.sort(shielded.min(axis=0))
         for k in range(1, n):
             plus = solve_maximin(matrix, k)
-            assert plus.value >= ordered[n - k - 1] - 1e-12
-            assert plus.value <= solve_minimax(matrix, k).value
+            minimax = solve_minimax(matrix, k)
+            ceiling = maximin_regret(matrix, minimax.subset)
+            assert column_mins[n - k - 1] <= plus.value <= ceiling <= minimax.value
+
+
+def test_packing_bound_cuts_at_the_root():
+    # Acts 0-2 each answer three of acts 0-5 and 3-5 answer only
+    # themselves, so two picks have gains 4 + 4 >= 6 and the gain bound
+    # passes. But acts 3, 4 and 5 have the disjoint coverers {0, 3}, {1, 4}
+    # and {2, 5}: three picks are needed, and the root counts 0 at once.
+    n = 6
+    masks = (0b001111, 0b010111, 0b100111, 0b001000, 0b010000, 0b100000)
+    coverers = tuple(sum(1 << i for i in range(n) if masks[i] >> j & 1) for j in range(n))
+    assert coverers[3:] == (0b001001, 0b010010, 0b100100)
+    covers = CoverFamily(masks, coverers)
+    assert sum(sorted((m.bit_count() for m in masks), reverse=True)[:2]) >= n
+    nodes_left = [1000]
+    assert _cover_count(covers, 2, 1, nodes_left) == 0
+    assert nodes_left == [999]
+    assert satisfying_subsets(covers, 2, n) == []
+    assert _cover_count(covers, 3, 10, [1000]) == len(satisfying_subsets(covers, 3, n)) > 0
 
 
 def test_invalid_k_and_tie_break(matrices):
