@@ -100,6 +100,20 @@ def extreme_points_reference(a_ub: np.ndarray, b_ub: np.ndarray, n: int) -> np.n
 
     Returns an empty (0, n) array where the enumeration finds no vertex.
     """
+    found: list[np.ndarray] = []
+    for _, point in basic_feasible_points(a_ub, b_ub, n):
+        if any(np.max(np.abs(point - seen)) <= VERTEX_DEDUP_TOL for seen in found):
+            continue
+        found.append(point)
+    return np.array(found).reshape(-1, n)
+
+
+def basic_feasible_points(a_ub: np.ndarray, b_ub: np.ndarray, n: int):
+    """Yield (row choice, point) for each basis whose point passes every check.
+
+    Rows are numbered as the enumeration numbers them: the a_ub rows, then
+    p_i >= 0 as -p_i <= 0. Near-duplicate points are all yielded.
+    """
     rows = [np.asarray(r, dtype=float) for r in a_ub]
     rhs = list(b_ub)
     for i in range(n):  # p_i >= 0 as -p_i <= 0
@@ -108,7 +122,6 @@ def extreme_points_reference(a_ub: np.ndarray, b_ub: np.ndarray, n: int) -> np.n
         rows.append(unit)
         rhs.append(0.0)
 
-    found: list[np.ndarray] = []
     ones = np.ones(n)
     for active in itertools.combinations(range(len(rows)), n - 1):
         system = np.vstack([ones] + [rows[r] for r in active])
@@ -126,10 +139,7 @@ def extreme_points_reference(a_ub: np.ndarray, b_ub: np.ndarray, n: int) -> np.n
         residual = a_ub @ point - b_ub if len(b_ub) else np.zeros(0)
         if residual.size and np.max(residual) > PMF_TOL:
             continue
-        if any(np.max(np.abs(point - seen)) <= VERTEX_DEDUP_TOL for seen in found):
-            continue
-        found.append(point)
-    return np.array(found).reshape(-1, n)
+        yield active, point
 
 
 def regret_matrix_lp_reference(payoffs: np.ndarray, credal) -> np.ndarray:

@@ -6,12 +6,14 @@ Constraint-form matrices, which now come from the enumerated vertices rather
 than from one LP per pair, must match the LP loop within 1e-9.
 """
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from reference_solvers import (
+    basic_feasible_points,
     extreme_points_reference,
     greedy_reference,
     maximin_reference,
@@ -30,7 +32,15 @@ from credalbudget.budget import (
     solve_maximin,
     solve_minimax,
 )
-from credalbudget.credal import ENUM_MAX_BASES, Act, CredalSet, LinearConstraint
+from credalbudget.credal import (
+    ENUM_MAX_BASES,
+    ENUM_MAX_DIM,
+    Act,
+    CredalSet,
+    LinearConstraint,
+    _Box,
+    _repeated_states,
+)
 from credalbudget.errors import InfeasibleCredalError
 from credalbudget.gen import GenConfig, generate_instance, sample_simplex
 from credalbudget.regret import (
@@ -386,6 +396,163 @@ def test_enumeration_spans_many_chunks():
     credal = CredalSet.from_constraints([LinearConstraint(u, "<=", 0.3) for u in units], 8)
     assert math.comb(16, 7) <= ENUM_MAX_BASES
     assert credal.extreme_points().tobytes() == reference_vertices(credal).tobytes()
+
+
+def unit(d: int, s: int, scale: float = 1.0) -> tuple[float, ...]:
+    return tuple(scale if t == s else 0.0 for t in range(d))
+
+
+def random_box_rows(rng: np.random.Generator, d: int) -> list[LinearConstraint]:
+    """Bound rows on some states, all met by a pmf on a 0.1 grid, in shuffled order.
+
+    A state gets no bound, a lower and an upper bound, an `=` row, l_s = 0
+    (the same bound as p_s >= 0), a lower bound given twice (once as
+    3 p_s >= 3 l_s, whose scaled rhs rounds differently), or an upper bound
+    of 1 or more.
+    """
+    center = rng.multinomial(10, np.ones(d) / d) / 10.0
+    rows = []
+    for s in rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False):
+        lo = max(0.0, center[s] - 0.1 * int(rng.integers(0, 3)))
+        hi = center[s] + 0.1 * int(rng.integers(0, 3))
+        form, u = int(rng.integers(0, 5)), unit(d, s)
+        if form == 0:
+            rows += [LinearConstraint(u, ">=", lo), LinearConstraint(u, "<=", hi)]
+        elif form == 1:
+            rows.append(LinearConstraint(u, "=", float(center[s])))
+        elif form == 2:
+            rows += [LinearConstraint(u, ">=", 0.0), LinearConstraint(u, "<=", hi)]
+        elif form == 3:
+            rows += [LinearConstraint(unit(d, s, 3.0), ">=", 3.0 * lo), LinearConstraint(u, ">=", lo)]
+        else:
+            rows.append(LinearConstraint(u, "<=", 1.0 + 0.5 * int(rng.integers(0, 2))))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def random_box(rng: np.random.Generator, d: int, max_bases: int = 2000) -> CredalSet:
+    while True:
+        credal = CredalSet.from_constraints(random_box_rows(rng, d), d)
+        if math.comb(len(credal._a_ub) + d, d - 1) <= max_bases:
+            return credal
+
+
+def enumeration_rows(credal: CredalSet) -> tuple[np.ndarray, np.ndarray]:
+    """The rows extreme_points chooses from: the a_ub rows, then -p_s <= 0."""
+    d = credal.dimension
+    return np.vstack([credal._a_ub, -np.eye(d) + 0.0]), np.concatenate([credal._b_ub, np.zeros(d)])
+
+
+def assert_enumeration_matches_loop(credal: CredalSet) -> None:
+    want = reference_vertices(credal)
+    if len(want) == 0:
+        with pytest.raises(InfeasibleCredalError):
+            credal.extreme_points()
+        return
+    got = credal.extreme_points()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, ENUM_MAX_DIM + 1))
+def test_box_enumeration_matches_loop(d):
+    rng = np.random.default_rng(500 + d)
+    for _ in range(12):
+        credal = random_box(rng, d)
+        assert _Box.of(*enumeration_rows(credal)) is not None
+        assert_enumeration_matches_loop(credal)
+
+
+def box_cases() -> dict[str, tuple[list[LinearConstraint], int]]:
+    def bound(d, s, relation, rhs, scale=1.0):
+        return LinearConstraint(unit(d, s, scale), relation, rhs)
+
+    def each(d, relation, values):
+        return [bound(d, s, relation, float(v)) for s, v in enumerate(values)]
+
+    return {
+        "one-state": ([bound(1, 0, "<=", 1.0)], 1),
+        "zero-lower": (each(4, ">=", [0.0] * 4) + each(4, "<=", [0.5, 0.4, 0.3, 0.3]), 4),
+        "equalities": (
+            [bound(4, 0, "=", 0.2), bound(4, 1, "=", 0.3), bound(4, 2, "<=", 0.4)], 4
+        ),
+        "lower-sum-one": (each(5, ">=", [0.1, 0.2, 0.3, 0.25, 0.15]), 5),
+        "upper-sum-one": (each(5, "<=", [0.1, 0.2, 0.3, 0.25, 0.15]), 5),
+        "rescaled-duplicates": (
+            [bound(3, 0, ">=", 0.3, 3.0), bound(3, 0, ">=", 0.1), bound(3, 0, ">=", 0.1)]
+            + [bound(3, 1, "<=", 2.5, 5.0), bound(3, 2, "<=", 0.6)],
+            3,
+        ),
+        "bounds-of-one-or-more": (
+            [bound(4, 0, ">=", 1.0), bound(4, 1, "<=", 1.0), bound(4, 2, "<=", 2.0)], 4
+        ),
+        "rhs-overflows": ([bound(3, 0, "<=", 0.3, 1e-310), bound(3, 1, ">=", 0.2)], 3),
+        "at-the-guard": (each(12, "<=", [0.1, 0.15, 0.2, 0.1, 0.05]), 12),
+    }
+
+
+@pytest.mark.parametrize("name", box_cases())
+def test_box_edge_cases_match_loop(name):
+    rows, d = box_cases()[name]
+    credal = CredalSet.from_constraints(rows, d)
+    assert _Box.of(*enumeration_rows(credal)) is not None
+    if name == "rhs-overflows":
+        assert np.isinf(credal._b_ub).any()
+    if name == "at-the-guard":
+        assert math.comb(len(credal._a_ub) + d, d - 1) > ENUM_MAX_BASES // 2
+    assert_enumeration_matches_loop(credal)
+
+
+def test_infeasible_box_has_no_vertices():
+    # from_constraints refuses an empty set, so build the rows directly:
+    # p_0 >= 0.6 and p_1 >= 0.6
+    a_ub = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    credal = CredalSet(3, a_ub=a_ub, b_ub=np.array([-0.6, -0.6]))
+    assert _Box.of(*enumeration_rows(credal)) is not None
+    assert len(reference_vertices(credal)) == 0
+    with pytest.raises(InfeasibleCredalError):
+        credal.extreme_points()
+
+
+@pytest.mark.parametrize("near", ["two-nonzeros", "zero-row"])
+def test_near_boxes_take_the_general_path(near):
+    rng = np.random.default_rng(7 if near == "zero-row" else 8)
+    for _ in range(20):
+        d = int(rng.integers(2, 7))
+        rows = random_box_rows(rng, d)
+        if near == "two-nonzeros":
+            rows.append(LinearConstraint(tuple([1.0, 1.0] + [0.0] * (d - 2)), "<=", 1.0))
+        else:
+            rows.append(LinearConstraint((0.0,) * d, "<=", 1.0))
+        credal = CredalSet.from_constraints(rows, d)
+        if math.comb(len(credal._a_ub) + d, d - 1) > 2000:
+            continue
+        assert _Box.of(*enumeration_rows(credal)) is None
+        assert_enumeration_matches_loop(credal)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_box_pruning_premise(d):
+    # The box path replaces slogdet by the repeated-state mask, and solves
+    # no row choice outside the usable rows or `can_give_vertex`; both rest
+    # on LU being exact on these systems and on BOX_MARGIN.
+    rng = np.random.default_rng(900 + d)
+    for _ in range(8):
+        credal = random_box(rng, d, max_bases=4000)
+        rows, rhs = enumeration_rows(credal)
+        box = _Box.of(rows, rhs)
+        active = np.array(list(itertools.combinations(range(len(rows)), d - 1)), dtype=np.intp)
+        active = active.reshape(-1, d - 1)
+        systems = np.ones((len(active), d, d))
+        systems[:, 1:] = rows[active]
+        singular = np.linalg.slogdet(systems)[0] == 0.0
+        assert np.array_equal(_repeated_states(box.state[active]), singular)
+
+        usable = np.isin(active, box.usable_rows()).all(axis=1)
+        solved = usable & box.can_give_vertex(active)
+        kept = [tuple(chosen) for chosen, _ in basic_feasible_points(credal._a_ub, credal._b_ub, d)]
+        assert kept
+        by_choice = dict(zip(map(tuple, active.tolist()), solved))
+        assert all(by_choice[chosen] for chosen in kept)
 
 
 def test_finance_oracle_unchanged(problems, matrices):
