@@ -8,21 +8,26 @@ between two bounds. No level below the (n - k)-th smallest column minimum
 is feasible, since each of the n - k acts left out needs an answer within
 it, and the minimax subset's own maximin regret is a feasible level. Covers
 are int bitmasks: per act, the acts it answers and the acts that answer it.
-One counting cover search answers every maximin question. It counts, up to
-a cap, the k-subsets that reach every act, branching on the uncovered act
-with the fewest coverers left (the most-constrained-first rule of Knuth's
-Dancing Links) and barring each coverer once tried, so its branches
-partition the subsets. It prunes when more uncovered acts have pairwise
-disjoint coverers than acts are still to pick (a packing bound from exact
-dominating-set search), and when the largest gains of the acts still to
-pick cannot reach every act not yet covered. A probe asks it for one
-subset. At the lowest feasible level, which is the optimum itself, the
-subset comes from a greedy pass or else is built pick by pick from counts:
-the satisfying subset at lexicographic rank 0 for the lex policy, and for
-the seeded policy first a count of the optima, then the drawn rank. All
-searches of one solve count their nodes against one budget and raise
-GuardExceededError past MAXIMIN_MAX_NODES. A brute-force oracle evaluates
-every subset for cross-checking.
+A greedy pass, k picks of the act reaching the most acts not yet reached,
+proves a level feasible whenever it reaches every act, at no search node.
+It runs first at the floor, where success proves the optimum, so the
+ceiling is computed only when it fails there, and then at each probed level
+before any exact search. One counting cover search answers every other
+maximin question. It counts, up to a cap, the k-subsets that reach every
+act, branching on the uncovered act with the fewest coverers left (the
+most-constrained-first rule of Knuth's Dancing Links) and barring each
+coverer once tried, so its branches partition the subsets. It prunes when
+more uncovered acts have pairwise disjoint coverers than acts are still to
+pick (a packing bound from exact dominating-set search), and when the
+largest gains of the acts still to pick cannot reach every act not yet
+covered. A probe that greedy does not prove asks it for one subset. At the
+lowest feasible level, which is the optimum itself, the lex subset comes
+from the greedy pass or else is the satisfying subset at lexicographic rank
+0, built pick by pick from counts; the seeded policy first counts the
+optima, then builds the drawn rank the same way. All searches of one solve
+count their nodes against one budget and raise GuardExceededError past
+MAXIMIN_MAX_NODES. A brute-force oracle evaluates every subset for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -191,22 +196,38 @@ def reachability_check(
 ) -> tuple[int, ...] | None:
     """Find T with |T| = k whose members plus their covers reach all n = len(covers.masks) acts.
 
-    Returns None when no such T exists. A greedy pass first picks, k times,
-    the act covering the most still-uncovered acts and returns at once if
-    that reaches everything; otherwise the lexicographically first such T
-    is built pick by pick with the counting cover search. The greedy pass
-    does not affect completeness. `nodes_left` is a one-element node budget
-    shared across calls (a fresh budget of MAXIMIN_MAX_NODES when omitted);
-    the search raises GuardExceededError once it is spent.
+    Returns None when no such T exists. The subset of the greedy pass
+    (_greedy_cover) is returned when that pass reaches every act; otherwise
+    the lexicographically first such T is built pick by pick with the
+    counting cover search. The greedy pass only ever proves a level feasible,
+    so it does not affect completeness. `nodes_left` is a one-element node
+    budget shared across calls (a fresh budget of MAXIMIN_MAX_NODES when
+    omitted); the search raises GuardExceededError once it is spent.
     """
     _validate_k(k)
-    masks = covers.masks
-    n = len(masks)
+    n = len(covers.masks)
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of acts {n}")
     if k == n:
         return tuple(range(n))
+    found = _greedy_cover(covers, k)
+    if found is not None:
+        return found
+    if nodes_left is None:
+        nodes_left = [MAXIMIN_MAX_NODES]
+    return _subset_at_rank(covers, k, 0, nodes_left)
 
+
+def _greedy_cover(covers: CoverFamily, k: int) -> tuple[int, ...] | None:
+    """The greedy pass: k times, the act covering the most still-uncovered
+    acts, lower index first. Returns the chosen acts, padded with the lowest
+    unchosen ones up to k, when they reach every act, and None otherwise.
+    A returned subset is itself a satisfying one, so it proves the level of
+    `covers` feasible (the greedy set cover of Chvatal, Math. Oper. Res.
+    4(3), 1979); None proves nothing. No search node is spent.
+    """
+    masks = covers.masks
+    n = len(masks)
     full = (1 << n) - 1
     covered = 0
     chosen: list[int] = []
@@ -223,10 +244,7 @@ def reachability_check(
             while len(chosen) < k:
                 chosen.append(next(spare))
             return tuple(sorted(chosen))
-
-    if nodes_left is None:
-        nodes_left = [MAXIMIN_MAX_NODES]
-    return _subset_at_rank(covers, k, 0, nodes_left)
+    return None
 
 
 def _cover_count(
@@ -354,13 +372,17 @@ def solve_maximin(
     the optimum, and feasibility only grows with the level. The floor is the
     first level at or above the (n - k)-th smallest off-diagonal column
     minimum, since each act outside a subset is answered at no less than its
-    column minimum. The ceiling is the maximin regret of the lex minimax
+    column minimum. When the greedy pass (_greedy_cover) reaches every act
+    at the floor, the floor is the optimum and nothing else is searched.
+    Otherwise the ceiling is computed: the maximin regret of the lex minimax
     subset, which reaches every act at that level, so the ceiling needs no
-    probe; it is at most the minimax optimum. Each probed level asks the
-    counting cover search for one subset. The value is that lowest feasible
-    level. Under the lex policy, reachability_check finds the subset there:
-    the one its greedy pass returns, or else the lexicographically first
-    satisfying subset.
+    probe; it is at most the minimax optimum. Each probed level is feasible
+    when the greedy pass reaches every act there, and otherwise asks the
+    counting cover search for one subset. A greedy success is itself a
+    satisfying subset, so it changes which work is done, never the answer.
+    The value is that lowest feasible level. Under the lex policy,
+    reachability_check finds the subset there: the one its greedy pass
+    returns, or else the lexicographically first satisfying subset.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.
@@ -384,19 +406,21 @@ def solve_maximin(
     # Each of the n - k acts outside T is answered at no less than its column minimum.
     column_mins = np.where(np.eye(n, dtype=bool), np.inf, matrix.entries).min(axis=0)
     lo = int(np.searchsorted(levels, np.partition(column_mins, n - k - 1)[n - k - 1]))
-    # The minimax subset reaches every act at its own maximin regret.
-    witness = maximin_regret(matrix, solve_minimax(matrix, k).subset)
-    hi = int(np.searchsorted(levels, witness))
-    covers = None  # the covers at levels[hi] once a probe has found them feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probe = cover_family(matrix, float(levels[mid]))
-        if _cover_count(probe, k, 1, nodes_left):
-            hi, covers = mid, probe
-        else:
-            lo = mid + 1
-    if covers is None:
-        covers = cover_family(matrix, float(levels[lo]))
+    covers = cover_family(matrix, float(levels[lo]))
+    if _greedy_cover(covers, k) is None:
+        # The minimax subset reaches every act at its own maximin regret.
+        witness = maximin_regret(matrix, solve_minimax(matrix, k).subset)
+        hi = int(np.searchsorted(levels, witness))
+        covers = None  # the covers at levels[hi] once a probe finds them feasible
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probe = cover_family(matrix, float(levels[mid]))
+            if _greedy_cover(probe, k) or _cover_count(probe, k, 1, nodes_left):
+                hi, covers = mid, probe
+            else:
+                lo = mid + 1
+        if covers is None:
+            covers = cover_family(matrix, float(levels[lo]))
     if rng is None:
         found = reachability_check(covers, k, nodes_left=nodes_left)
     else:

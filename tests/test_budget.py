@@ -304,16 +304,35 @@ def test_maximin_bisection_fits_a_small_node_budget(monkeypatch):
     assert maximin_regret(matrix, seeded.subset) == solution.value
 
 
+def deep_search_matrix():
+    """U(0, 1) entries, 20 acts: at k = 5 the greedy pass misses the floor,
+    so the bisection runs exact probes (unlike negativity_size_matrix)."""
+    entries = np.random.default_rng(1).uniform(0, 1, (20, 20))
+    return RegretMatrix(tuple(f"a{i}" for i in range(20)), entries)
+
+
 def test_maximin_node_guard(monkeypatch):
     import credalbudget.budget as budget_mod
 
-    matrix = negativity_size_matrix()
+    matrix = deep_search_matrix()
     solve_maximin(matrix, 5)  # well inside the default budget
     monkeypatch.setattr(budget_mod, "MAXIMIN_MAX_NODES", 20)
     with pytest.raises(GuardExceededError, match="node guard"):
         solve_maximin(matrix, 5)
     with pytest.raises(GuardExceededError, match="node guard"):
         solve_maximin(matrix, 5, tie_break="seeded", seed=1)
+
+
+def test_maximin_greedy_floor_spends_no_node(monkeypatch):
+    # The greedy pass reaches every act at the floor, so the floor is the
+    # optimum: no ceiling, probe or search node is needed.
+    import credalbudget.budget as budget_mod
+
+    matrix = negativity_size_matrix()
+    monkeypatch.setattr(budget_mod, "MAXIMIN_MAX_NODES", 0)
+    solution = solve_maximin(matrix, 5)
+    assert repr(solution.value) == repr(oracle_solve(matrix, 5, Criterion.MAXIMIN).value)
+    assert maximin_regret(matrix, solution.subset) == solution.value
 
 
 def test_greedy_base_case_matches_exact(matrices):

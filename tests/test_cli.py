@@ -4,6 +4,7 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from credalbudget.bench import consistency_aggregate, negativity_aggregate, read_csv, write_csv
@@ -442,14 +443,13 @@ def test_seeded_maximin_tie_guard_exits_three(capsys, monkeypatch, tmp_path):
 
 def test_maximin_node_guard_exits_three(capsys, monkeypatch, tmp_path):
     import credalbudget.budget as budget_mod
-    from credalbudget.gen import GenConfig, generate_instance
-    from credalbudget.regret import regret_matrix
 
     monkeypatch.setattr(budget_mod, "MAXIMIN_MAX_NODES", 20)
-    config = GenConfig(n_acts=20, n_states=5, n_vertices=20, seed=0)
-    matrix = regret_matrix(*generate_instance(config))
+    # U(0, 1) entries: at k = 5 the greedy pass misses the floor, so the
+    # bisection runs exact probes and spends the budget.
+    entries = np.random.default_rng(1).uniform(0, 1, (20, 20))
     pre = tmp_path / "deep.json"
-    pre.write_text(json.dumps({"matrix": matrix.entries.tolist()}))
+    pre.write_text(json.dumps({"matrix": entries.tolist()}))
     code, out, err = run_cli(capsys, "solve", "--problem", str(pre), "--k", "5",
                              "--criterion", "maximin")
     assert (code, out) == (3, "")

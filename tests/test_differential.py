@@ -162,6 +162,41 @@ def test_maximin_matches_reference_at_negativity_size(dm):
         assert (sol.subset, repr(sol.value)) == _repr(ref)
 
 
+def test_maximin_matches_reference_on_uniform(monkeypatch):
+    # U(0, 1) entries at 10-16 acts, every k. With no ties the greedy pass
+    # often misses the floor, so the bisection runs; the cases must include
+    # floors that greedy misses and probes that greedy alone proves feasible.
+    import credalbudget.budget as budget_mod
+
+    greedy = budget_mod._greedy_cover
+    passes = []
+
+    def recorded(covers, k):
+        passes.append(greedy(covers, k))
+        return passes[-1]
+
+    monkeypatch.setattr(budget_mod, "_greedy_cover", recorded)
+    floor_misses = probe_hits = 0
+    for n in range(10, 17):
+        for m in range(4):
+            entries = np.random.default_rng(5000 + 10 * n + m).uniform(0, 1, (n, n))
+            matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), entries)
+            for k in range(1, n + 1):
+                sol = solve_maximin(matrix, k)
+                assert (sol.subset, repr(sol.value)) == _repr(maximin_reference(entries, k, None))
+                # The seeded path calls the greedy pass only at the floor and
+                # at the probes, in that order.
+                passes.clear()
+                sol = solve_maximin(matrix, k, tie_break="seeded", seed=k)
+                ref = maximin_reference(entries, k, seeded_rng(k))
+                assert (sol.subset, repr(sol.value)) == _repr(ref)
+                if passes and passes[0] is None:
+                    floor_misses += 1
+                    probe_hits += any(found is not None for found in passes[1:])
+    assert floor_misses > 50
+    assert probe_hits > 50
+
+
 @pytest.mark.parametrize("criterion", ["minimax", "maximin"])
 def test_oracle_matches_reference(criterion):
     # Per size: integer entries in -2..2 (ties everywhere, about half the
