@@ -6,13 +6,14 @@ acts can answer every outside challenger at regret <= alpha at every level
 above a feasible one, so the lowest feasible level is found by bisecting
 between two bounds. No level below the (n - k)-th smallest column minimum
 is feasible, since each of the n - k acts left out needs an answer within
-it, and the minimax subset's own maximin regret is a feasible level. Covers
-are int bitmasks: per act, the acts it answers and the acts that answer it.
-A greedy pass, k picks of the act reaching the most acts not yet reached,
-proves a level feasible whenever it reaches every act, at no search node.
-It runs first at the floor, where success proves the optimum, so the
-ceiling is computed only when it fails there, and then at each probed level
-before any exact search. One counting cover search answers every other
+it; that minimum is itself an entry, so it is the floor level. The minimax
+subset's own maximin regret is a feasible level. Covers are int bitmasks:
+per act, the acts it answers and the acts that answer it. A greedy pass, k
+picks of the act reaching the most acts not yet reached, proves a level
+feasible whenever it reaches every act, at no search node. It runs first at
+the floor, where success proves the optimum, so the sorted level list and
+the ceiling are built only when it fails there, and then at each probed
+level before any exact search. One counting cover search answers every other
 maximin question. It counts, up to a cap, the k-subsets that reach every
 act, branching on the uncovered act with the fewest coverers left (the
 most-constrained-first rule of Knuth's Dancing Links) and barring each
@@ -233,12 +234,15 @@ def _greedy_cover(covers: CoverFamily, k: int) -> tuple[int, ...] | None:
     chosen: list[int] = []
     for _ in range(k):
         # A chosen act gains nothing more, and a zero best gain ends the pass,
-        # so no act is chosen twice.
-        best_gain, neg_i = max(((m & ~covered).bit_count(), -i) for i, m in enumerate(masks))
-        if best_gain == 0:
+        # so no act is chosen twice. index() finds the lowest act at the best gain.
+        missing = full & ~covered
+        gains = [(m & missing).bit_count() for m in masks]
+        best = max(gains)
+        if best == 0:
             break
-        chosen.append(-neg_i)
-        covered |= masks[-neg_i]
+        i = gains.index(best)
+        chosen.append(i)
+        covered |= masks[i]
         if covered == full:
             spare = (i for i in range(n) if i not in chosen)
             while len(chosen) < k:
@@ -370,19 +374,20 @@ def solve_maximin(
     Bisects the distinct off-diagonal regrets between two bounds: the lowest
     level whose exact cover family admits a size-k reachability subset is
     the optimum, and feasibility only grows with the level. The floor is the
-    first level at or above the (n - k)-th smallest off-diagonal column
-    minimum, since each act outside a subset is answered at no less than its
-    column minimum. When the greedy pass (_greedy_cover) reaches every act
-    at the floor, the floor is the optimum and nothing else is searched.
-    Otherwise the ceiling is computed: the maximin regret of the lex minimax
-    subset, which reaches every act at that level, so the ceiling needs no
-    probe; it is at most the minimax optimum. Each probed level is feasible
-    when the greedy pass reaches every act there, and otherwise asks the
-    counting cover search for one subset. A greedy success is itself a
-    satisfying subset, so it changes which work is done, never the answer.
-    The value is that lowest feasible level. Under the lex policy,
-    reachability_check finds the subset there: the one its greedy pass
-    returns, or else the lexicographically first satisfying subset.
+    (n - k)-th smallest off-diagonal column minimum, since each act outside
+    a subset is answered at no less than its column minimum; being an entry,
+    it is itself a level. When the greedy pass (_greedy_cover) reaches every
+    act at the floor, the floor is the optimum and nothing else is searched
+    or sorted. Otherwise the distinct levels are sorted and the ceiling is
+    computed: the maximin regret of the lex minimax subset, which reaches
+    every act at that level, so the ceiling needs no probe; it is at most
+    the minimax optimum. Each probed level is feasible when the greedy pass
+    reaches every act there, and otherwise asks the counting cover search
+    for one subset; a probe at the floor reuses the floor's covers. A greedy
+    success is itself a satisfying subset, so it changes which work is done,
+    never the answer. The value is that lowest feasible level. Under the lex
+    policy, reachability_check finds the subset there: the one its greedy
+    pass returns, or else the lexicographically first satisfying subset.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.
@@ -402,37 +407,48 @@ def solve_maximin(
         return BudgetSolution(tuple(range(n)), NEG_INFINITY, Criterion.MAXIMIN, 1, label)
 
     nodes_left = [MAXIMIN_MAX_NODES]
-    levels = np.unique(matrix.off_diagonal_values())
-    # Each of the n - k acts outside T is answered at no less than its column minimum.
-    column_mins = np.where(np.eye(n, dtype=bool), np.inf, matrix.entries).min(axis=0)
-    lo = int(np.searchsorted(levels, np.partition(column_mins, n - k - 1)[n - k - 1]))
-    covers = cover_family(matrix, float(levels[lo]))
+    # Each of the n - k acts outside T is answered at no less than its column
+    # minimum. That minimum is itself an off-diagonal entry, so it is a level.
+    answers = matrix.entries.copy()
+    np.fill_diagonal(answers, np.inf)
+    column_mins = answers.min(axis=0)
+    value = float(np.partition(column_mins, n - k - 1)[n - k - 1])
+    covers = cover_family(matrix, value)
     if _greedy_cover(covers, k) is None:
+        levels = np.unique(matrix.off_diagonal_values())
+        floor, floor_covers = int(np.searchsorted(levels, value)), covers
         # The minimax subset reaches every act at its own maximin regret.
         witness = maximin_regret(matrix, solve_minimax(matrix, k).subset)
-        hi = int(np.searchsorted(levels, witness))
+        lo, hi = floor, int(np.searchsorted(levels, witness))
+
+        def covers_at(index: int) -> CoverFamily:
+            if index == floor:
+                return floor_covers
+            return cover_family(matrix, float(levels[index]))
+
         covers = None  # the covers at levels[hi] once a probe finds them feasible
         while lo < hi:
             mid = (lo + hi) // 2
-            probe = cover_family(matrix, float(levels[mid]))
+            probe = covers_at(mid)
             if _greedy_cover(probe, k) or _cover_count(probe, k, 1, nodes_left):
                 hi, covers = mid, probe
             else:
                 lo = mid + 1
         if covers is None:
-            covers = cover_family(matrix, float(levels[lo]))
+            covers = covers_at(lo)
+        value = float(levels[lo])
     if rng is None:
         found = reachability_check(covers, k, nodes_left=nodes_left)
     else:
         # T satisfies the exact covers at the optimum exactly when
-        # maximin_regret(T) <= levels[lo], that is, when T is optimal.
+        # maximin_regret(T) <= value, that is, when T is optimal.
         count = _cover_count(covers, k, ORACLE_MAX_SUBSETS + 1, nodes_left)
         if count > ORACLE_MAX_SUBSETS:
             raise GuardExceededError(
                 f"seeded maximin tie list exceeds the {ORACLE_MAX_SUBSETS} subset guard"
             )
         found = _subset_at_rank(covers, k, int(rng.integers(count)), nodes_left)
-    return BudgetSolution(tuple(found), float(levels[lo]), Criterion.MAXIMIN, 1, label)
+    return BudgetSolution(tuple(found), value, Criterion.MAXIMIN, 1, label)
 
 
 def _family(criterion, family: str) -> tuple[Criterion, Criterion]:

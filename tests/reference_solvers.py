@@ -6,8 +6,10 @@ constraint-form build as they stood before each was vectorised, and the
 maximin level scan (exact covers, the repair window that exact covers
 leave unreachable, and both DFS walkers) as it stood before its rewrite.
 The brute-force oracle is its one-evaluation-per-subset loop, as it stood
-before subsets were scored in chunks. The differential tests compare the
-library against them; do not change them to match the library.
+before subsets were scored in chunks. The maximin greedy cover pass is its
+per-act (gain, -index) tuple max, as it stood before gains became one list
+per round. The differential tests compare the library against them; do not
+change them to match the library.
 
 The seeded branches of the minimax and greedy references state the seeded
 tie contract in plain per-row Python, and change only when that contract
@@ -271,6 +273,29 @@ def _collect_satisfying(masks: list[int], k: int, n: int, full: int) -> list[tup
 
     walk(0, 0, 0, [])
     return hits
+
+
+def greedy_cover_reference(masks, k: int):
+    """The maximin greedy cover pass on per-act cover masks: k times, the act
+    covering the most still-uncovered acts, lower index first; the chosen
+    acts padded with the lowest unchosen ones, sorted, or None when they do
+    not reach every act."""
+    n = len(masks)
+    full = (1 << n) - 1
+    covered = 0
+    chosen = []
+    for _ in range(k):
+        best_gain, neg_i = max(((m & ~covered).bit_count(), -i) for i, m in enumerate(masks))
+        if best_gain == 0:
+            break
+        chosen.append(-neg_i)
+        covered |= masks[-neg_i]
+        if covered == full:
+            spare = (i for i in range(n) if i not in chosen)
+            while len(chosen) < k:
+                chosen.append(next(spare))
+            return tuple(sorted(chosen))
+    return None
 
 
 def maximin_reference(entries: np.ndarray, k: int, rng) -> tuple[tuple[int, ...], float]:

@@ -285,11 +285,11 @@ def test_level_probe_spends_the_shared_node_budget():
 
 
 def test_maximin_bisection_fits_a_small_node_budget(monkeypatch):
-    # At 200 acts and k = 20 the bisection's probes visit a few hundred
-    # nodes, and the seeded count and draw a few thousand; the upward level
-    # scan with an index-order walker was past 2 million nodes already at 60
-    # acts and k = 12, and that walker's seeded count at 100 acts and k = 20
-    # went past 10^7.
+    # At 200 acts and k = 20 the greedy pass proves the floor, so no probe
+    # runs, and the seeded count and draw visit a few hundred nodes; the
+    # upward level scan with an index-order walker was past 2 million nodes
+    # already at 60 acts and k = 12, and that walker's seeded count at 100
+    # acts and k = 20 went past 10^7.
     import credalbudget.budget as budget_mod
 
     config = GenConfig(n_acts=200, n_states=5, n_vertices=20, seed=5)

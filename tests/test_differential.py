@@ -15,6 +15,7 @@ import pytest
 from reference_solvers import (
     basic_feasible_points,
     extreme_points_reference,
+    greedy_cover_reference,
     greedy_reference,
     maximin_reference,
     minimax_reference,
@@ -26,6 +27,8 @@ from reference_solvers import (
 from credalbudget.bench import trial_seeds
 from credalbudget.budget import (
     Criterion,
+    _greedy_cover,
+    cover_family,
     oracle_optima,
     oracle_solve,
     solve_greedy,
@@ -162,21 +165,70 @@ def test_maximin_matches_reference_at_negativity_size(dm):
         assert (sol.subset, repr(sol.value)) == _repr(ref)
 
 
+def test_greedy_cover_matches_reference():
+    # Small-integer entries tie gains often, so the pick must be the lowest
+    # act among equal gains in every round, as in the frozen tuple max.
+    rng = np.random.default_rng(2400)
+    cases = found = 0
+    for n in range(2, 31):
+        for _ in range(2):
+            matrix = RegretMatrix(
+                tuple(f"a{i}" for i in range(n)), rng.integers(-1, 5, size=(n, n)).astype(float)
+            )
+            for level in (0.0, 1.0, 2.0):
+                covers = cover_family(matrix, level)
+                for k in range(1, n + 1):
+                    expected = greedy_cover_reference(covers.masks, k)
+                    assert _greedy_cover(covers, k) == expected
+                    cases += 1
+                    found += expected is not None
+    assert 0 < found < cases
+
+
+@pytest.mark.parametrize("dm", [2, 5, 10])
+def test_maximin_greedy_floor_needs_no_level_list(monkeypatch, dm):
+    # The floor is the (n - k)-th smallest column minimum itself, so a floor
+    # that greedy proves needs no sorted list of the distinct levels.
+    config = GenConfig(
+        n_acts=20, n_states=5, n_vertices=20, target_dm=dm, seed=trial_seeds(dm, 1)[0]
+    )
+    matrix = regret_matrix(*generate_instance(config))
+
+    def no_levels(self):
+        raise AssertionError("the level list was built")
+
+    monkeypatch.setattr(RegretMatrix, "off_diagonal_values", no_levels)
+    for k in range(dm, dm + 4):
+        sol = solve_maximin(matrix, k)
+        assert (sol.subset, repr(sol.value)) == _repr(maximin_reference(matrix.entries, k, None))
+        sol = solve_maximin(matrix, k, tie_break="seeded", seed=k)
+        ref = maximin_reference(matrix.entries, k, seeded_rng(k))
+        assert (sol.subset, repr(sol.value)) == _repr(ref)
+
+
 def test_maximin_matches_reference_on_uniform(monkeypatch):
     # U(0, 1) entries at 10-16 acts, every k. With no ties the greedy pass
     # often misses the floor, so the bisection runs; the cases must include
     # floors that greedy misses and probes that greedy alone proves feasible.
+    # A probe at the floor reuses the floor's covers, so no level's covers
+    # are built twice in one solve.
     import credalbudget.budget as budget_mod
 
-    greedy = budget_mod._greedy_cover
-    passes = []
+    greedy, build = budget_mod._greedy_cover, budget_mod.cover_family
+    passes, probed, built = [], [], []
 
     def recorded(covers, k):
+        probed.append(covers)
         passes.append(greedy(covers, k))
         return passes[-1]
 
+    def building(matrix, alpha):
+        built.append(alpha)
+        return build(matrix, alpha)
+
     monkeypatch.setattr(budget_mod, "_greedy_cover", recorded)
-    floor_misses = probe_hits = 0
+    monkeypatch.setattr(budget_mod, "cover_family", building)
+    floor_misses = probe_hits = floor_reuses = 0
     for n in range(10, 17):
         for m in range(4):
             entries = np.random.default_rng(5000 + 10 * n + m).uniform(0, 1, (n, n))
@@ -186,15 +238,18 @@ def test_maximin_matches_reference_on_uniform(monkeypatch):
                 assert (sol.subset, repr(sol.value)) == _repr(maximin_reference(entries, k, None))
                 # The seeded path calls the greedy pass only at the floor and
                 # at the probes, in that order.
-                passes.clear()
+                passes.clear(), probed.clear(), built.clear()
                 sol = solve_maximin(matrix, k, tie_break="seeded", seed=k)
                 ref = maximin_reference(entries, k, seeded_rng(k))
                 assert (sol.subset, repr(sol.value)) == _repr(ref)
+                assert len(set(built)) == len(built)
                 if passes and passes[0] is None:
                     floor_misses += 1
                     probe_hits += any(found is not None for found in passes[1:])
+                    floor_reuses += any(covers is probed[0] for covers in probed[1:])
     assert floor_misses > 50
     assert probe_hits > 50
+    assert floor_reuses > 5
 
 
 @pytest.mark.parametrize("criterion", ["minimax", "maximin"])
