@@ -257,9 +257,15 @@ class CredalSet:
             if len(self._b_ub):
                 keep &= (points @ self._a_ub.T - self._b_ub).max(axis=1) <= PMF_TOL
             points = points[keep]
-            gaps = np.abs(points[:, None, :] - found).max(axis=2)  # (points, vertices so far)
-            points = points[(gaps > VERTEX_DEDUP_TOL).all(axis=1)]
-            near = (np.abs(points[:, None, :] - points).max(axis=2) <= VERTEX_DEDUP_TOL).tolist()
+            # State axis outermost: each max reduces whole (points, ...) planes
+            # rather than a short inner axis of a few states; same bytes. The
+            # copies are C-ordered, which by_state[:, mask] would not be.
+            by_state = points.T.copy()
+            gaps = np.abs(by_state[:, :, None] - found.T[:, None, :]).max(axis=0)
+            points = points[(gaps > VERTEX_DEDUP_TOL).all(axis=1)]  # gaps: (points, found)
+            by_state = points.T.copy()
+            near = np.abs(by_state[:, :, None] - by_state[:, None, :]).max(axis=0)
+            near = (near <= VERTEX_DEDUP_TOL).tolist()
             fresh: list[int] = []
             for i in range(len(points)):  # in basis order, so the first of near-duplicates stays
                 if not any(near[i][j] for j in fresh):

@@ -2,7 +2,10 @@
 
 Problems here have a handful of variables (one per state) and a handful of
 rows, so a plain dense tableau with Bland's anti-cycling rule is both simple
-and robust. Variables are implicitly nonnegative.
+and robust. Variables are implicitly nonnegative. Each pivot is one masked
+numpy update of the whole tableau plus a ratio test over Python floats; it
+does the same element operations in the same order as a row-by-row loop, so
+values, points and pivot sequences are the loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -26,10 +29,20 @@ class Unbounded(Exception):
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Divide the pivot row by its pivot, then clear `col` from every other row.
+
+    The clearing is one masked whole-tableau step: each row whose factor in
+    `col` is nonzero gets `row - factor * pivot_row`, the same element
+    operations as a row-by-row loop, and rows whose factor is zero or NaN
+    are neither multiplied nor written, so they keep their bits and raise
+    no floating-point warning.
+    """
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col, None].copy()
+    factors[row] = 0.0
+    live = np.abs(factors) > 0.0
+    products = np.multiply(factors, tableau[row], out=None, where=live)
+    np.subtract(tableau, products, out=tableau, where=live)
 
 
 def _iterate(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
@@ -38,23 +51,22 @@ def _iterate(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
     Objective row is the last row and holds reduced costs z_j - c_j; a column
     improves while its entry is below -OPT_TOL. Bland's rule: entering column
     is the smallest improving index, leaving row is the one whose basic
-    variable index is smallest among the ratio-test ties.
+    variable index is smallest among the ratio-test ties. Each pivot finds
+    the entering column with one vector compare and runs the ratio test over
+    the entering and rhs columns as Python floats, in row order.
     """
     for _ in range(_MAX_PIVOTS):
-        obj = tableau[-1, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < -OPT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = tableau[-1, :ncols] < -OPT_TOL
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return
+        coefs = tableau[:-1, entering].tolist()
+        rhs = tableau[:-1, -1].tolist()
         best_ratio = None
         leaving = -1
-        for r in range(tableau.shape[0] - 1):
-            coef = tableau[r, entering]
+        for r, coef in enumerate(coefs):
             if coef > FEAS_TOL:
-                ratio = tableau[r, -1] / coef
+                ratio = rhs[r] / coef
                 if (
                     best_ratio is None
                     or ratio < best_ratio - FEAS_TOL
@@ -153,8 +165,8 @@ def maximize(
         art_set = set(art_cols)
         for r in range(m):
             if basis[r] in art_set:
-                for j in range(ncols):
-                    if j not in art_set and abs(tableau[r, j]) > FEAS_TOL:
+                for j, coef in enumerate(tableau[r, :ncols].tolist()):
+                    if j not in art_set and abs(coef) > FEAS_TOL:
                         _pivot(tableau, r, j)
                         basis[r] = j
                         break
@@ -166,8 +178,9 @@ def maximize(
     cost[:nvars] = objective
     tableau[-1, :] = 0.0
     tableau[-1, :ncols] = -cost
+    costs = cost.tolist()
     for r in range(m):
-        cb = cost[basis[r]]
+        cb = costs[basis[r]]
         if cb != 0.0:
             tableau[-1] += cb * tableau[r]
     _iterate(tableau, basis, ncols)

@@ -8,8 +8,10 @@ leave unreachable, and both DFS walkers) as it stood before its rewrite.
 The brute-force oracle is its one-evaluation-per-subset loop, as it stood
 before subsets were scored in chunks. The maximin greedy cover pass is its
 per-act (gain, -index) tuple max, as it stood before gains became one list
-per round. The differential tests compare the library against them; do not
-change them to match the library.
+per round. The dense simplex is its row-by-row pivot loop and ratio test
+over numpy scalars, as they stood before each pivot became one masked
+tableau update. The differential tests compare the library against them; do
+not change them to match the library.
 
 The seeded branches of the minimax and greedy references state the seeded
 tie contract in plain per-row Python, and change only when that contract
@@ -26,6 +28,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from credalbudget.errors import GuardExceededError
+from credalbudget.simplex import Infeasible, Unbounded
 
 PMF_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-9
@@ -153,6 +158,154 @@ def regret_matrix_lp_reference(payoffs: np.ndarray, credal) -> np.ndarray:
             if i != j:
                 entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
     return entries
+
+
+LP_FEAS_TOL = 1e-9
+LP_OPT_TOL = 1e-9
+LP_MAX_PIVOTS = 10_000
+
+
+def simplex_pivot_reference(tableau: np.ndarray, row: int, col: int) -> None:
+    """Divide the pivot row, then clear `col` from the other rows one at a time."""
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+
+
+def simplex_iterate_reference(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
+    """Bland's-rule pivots until the reduced costs (last row) are optimal."""
+    for _ in range(LP_MAX_PIVOTS):
+        obj = tableau[-1, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if obj[j] < -LP_OPT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return
+        best_ratio = None
+        leaving = -1
+        for r in range(tableau.shape[0] - 1):
+            coef = tableau[r, entering]
+            if coef > LP_FEAS_TOL:
+                ratio = tableau[r, -1] / coef
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - LP_FEAS_TOL
+                    or (abs(ratio - best_ratio) <= LP_FEAS_TOL and basis[r] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving < 0:
+            raise Unbounded("no leaving row for entering column %d" % entering)
+        simplex_pivot_reference(tableau, leaving, entering)
+        basis[leaving] = entering
+    raise GuardExceededError("simplex exceeds the %d LP pivot guard" % LP_MAX_PIVOTS)
+
+
+def simplex_maximize_reference(
+    objective: np.ndarray,
+    a_ub: np.ndarray,
+    b_ub: np.ndarray,
+    a_eq: np.ndarray,
+    b_eq: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """(value, x) of max objective @ x st a_ub @ x <= b_ub, a_eq @ x = b_eq, x >= 0."""
+    objective = np.asarray(objective, dtype=float)
+    nvars = objective.size
+    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, nvars)
+    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, nvars)
+    b_ub = np.asarray(b_ub, dtype=float).ravel()
+    b_eq = np.asarray(b_eq, dtype=float).ravel()
+
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    kinds: list[str] = []  # 'le' (slack) or 'ge' (surplus+artificial) or 'eq'
+    for coefs, b in zip(a_ub, b_ub):
+        if b >= 0:
+            rows.append(coefs.copy())
+            rhs.append(float(b))
+            kinds.append("le")
+        else:
+            rows.append(-coefs)
+            rhs.append(float(-b))
+            kinds.append("ge")
+    for coefs, b in zip(a_eq, b_eq):
+        rows.append(coefs.copy() if b >= 0 else -coefs)
+        rhs.append(float(abs(b)))
+        kinds.append("eq")
+
+    m = len(rows)
+    n_slack = sum(1 for k in kinds if k in ("le", "ge"))
+    n_art = sum(1 for k in kinds if k in ("ge", "eq"))
+    ncols = nvars + n_slack + n_art
+
+    tableau = np.zeros((m + 1, ncols + 1))
+    basis: list[int] = []
+    slack_at = nvars
+    art_at = nvars + n_slack
+    art_cols: list[int] = []
+    for r in range(m):
+        tableau[r, :nvars] = rows[r]
+        tableau[r, -1] = rhs[r]
+        if kinds[r] == "le":
+            tableau[r, slack_at] = 1.0
+            basis.append(slack_at)
+            slack_at += 1
+        elif kinds[r] == "ge":
+            tableau[r, slack_at] = -1.0
+            slack_at += 1
+            tableau[r, art_at] = 1.0
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+        else:
+            tableau[r, art_at] = 1.0
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+
+    # Phase 1: maximize -(sum of artificials); reduced-cost row starts as
+    # -(sum of rows with an artificial basic) so basic columns read zero.
+    if art_cols:
+        for r in range(m):
+            if basis[r] in art_cols:
+                tableau[-1] -= tableau[r]
+        for c in art_cols:
+            tableau[-1, c] = 0.0
+        simplex_iterate_reference(tableau, basis, ncols)
+        if tableau[-1, -1] < -LP_FEAS_TOL:
+            raise Infeasible("phase-1 optimum leaves infeasibility %g" % -tableau[-1, -1])
+        # Drive leftover artificials out of the basis; all-zero rows are
+        # redundant constraints and can be neutralized in place.
+        art_set = set(art_cols)
+        for r in range(m):
+            if basis[r] in art_set:
+                for j in range(ncols):
+                    if j not in art_set and abs(tableau[r, j]) > LP_FEAS_TOL:
+                        simplex_pivot_reference(tableau, r, j)
+                        basis[r] = j
+                        break
+        for c in art_cols:
+            tableau[:, c] = 0.0
+
+    # Phase 2: rebuild the reduced-cost row for the real objective.
+    cost = np.zeros(ncols)
+    cost[:nvars] = objective
+    tableau[-1, :] = 0.0
+    tableau[-1, :ncols] = -cost
+    for r in range(m):
+        cb = cost[basis[r]]
+        if cb != 0.0:
+            tableau[-1] += cb * tableau[r]
+    simplex_iterate_reference(tableau, basis, ncols)
+
+    x = np.zeros(nvars)
+    for r in range(m):
+        if basis[r] < nvars:
+            x[basis[r]] = tableau[r, -1]
+    return float(tableau[-1, -1]), x
 
 
 def _minimax_value(entries: np.ndarray, subset) -> float:

@@ -3,15 +3,20 @@
 Subsets, values (by repr, so a signed zero counts), the vertex-form matrix
 bytes and the enumerated vertex bytes must match exactly, ties included.
 Constraint-form matrices, which now come from the enumerated vertices rather
-than from one LP per pair, must match the LP loop within 1e-9.
+than from one LP per pair, must match the LP loop within 1e-9. The simplex
+must match its row-by-row kernel bit for bit: value, point, pivot sequence
+and exception type.
 """
 
+import collections
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import reference_solvers
 from reference_solvers import (
     basic_feasible_points,
     extreme_points_reference,
@@ -22,8 +27,10 @@ from reference_solvers import (
     oracle_reference,
     pairwise_regret_reference,
     regret_matrix_lp_reference,
+    simplex_maximize_reference,
 )
 
+from credalbudget import simplex
 from credalbudget.bench import trial_seeds
 from credalbudget.budget import (
     Criterion,
@@ -44,7 +51,7 @@ from credalbudget.credal import (
     _Box,
     _repeated_states,
 )
-from credalbudget.errors import InfeasibleCredalError
+from credalbudget.errors import GuardExceededError, InfeasibleCredalError
 from credalbudget.gen import GenConfig, generate_instance, sample_simplex
 from credalbudget.regret import (
     RegretMatrix,
@@ -669,3 +676,152 @@ def test_constraint_build_memory_is_chunked(problems):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2**10  # all 1365 bases in one batch would peak near 530 KiB
+
+
+def solve_recorded(monkeypatch, owner, pivot_name: str, solve, lp: tuple):
+    """(outcome, pivots) of one LP, with every (row, col) pivot recorded in order.
+
+    The outcome is the value's repr and the point's bytes, or the type of the
+    exception the solve raised.
+    """
+    pivots: list[tuple[int, int]] = []
+    inner = getattr(owner, pivot_name)
+
+    def recording(tableau, row, col):
+        pivots.append((row, col))
+        inner(tableau, row, col)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, pivot_name, recording)
+        try:
+            value, x = solve(*lp)
+        except (simplex.Infeasible, simplex.Unbounded, GuardExceededError) as exc:
+            return type(exc), pivots
+    return (repr(value), x.tobytes()), pivots
+
+
+def credal_lp(gamble, a_ub, b_ub) -> tuple:
+    """The LP of one upper expectation: rows a_ub p <= b_ub and sum p = 1."""
+    d = len(gamble)
+    return (np.asarray(gamble, float), a_ub, b_ub, np.ones((1, d)), np.array([1.0]))
+
+
+def interval_lp(rng: np.random.Generator, d: int) -> tuple:
+    """An interval box l <= p <= u on d states; sum l > 1 or sum u < 1 now and then."""
+    lows = rng.uniform(0.0, 1.2 / d, size=d)
+    highs = lows + rng.uniform(0.0, 1.5 / d, size=d)
+    a_ub = np.vstack([np.eye(d), -np.eye(d) + 0.0])
+    b_ub = np.concatenate([highs, -lows])
+    payoffs = rng.integers(0, 101, size=(2, d)).astype(float)
+    return credal_lp(payoffs[1] - payoffs[0], a_ub, b_ub)
+
+
+def benchmark_interval_lp(rng: np.random.Generator) -> tuple:
+    """One pair of the 14-state interval polytope p_s in [0.02, 0.15]."""
+    a_ub = np.vstack([np.eye(14), -np.eye(14) + 0.0])
+    b_ub = np.concatenate([np.full(14, 0.15), np.full(14, -0.02)])
+    payoffs = rng.integers(0, 101, size=(2, 14)).astype(float)
+    return credal_lp(payoffs[1] - payoffs[0], a_ub, b_ub)
+
+
+def unit_rows_lp(rng: np.random.Generator) -> tuple:
+    """Random unit-scaled rows plus `=` rows; without sum p = 1 some are unbounded."""
+    d = int(rng.integers(2, 11))
+    a_ub = rng.normal(size=(int(rng.integers(1, 9)), d))
+    a_ub /= np.abs(a_ub).max(axis=1, keepdims=True)
+    b_ub = rng.normal(0.2, 0.5, size=len(a_ub))
+    a_eq = rng.normal(size=(int(rng.integers(0, 3)), d))
+    a_eq /= np.abs(a_eq).max(axis=1, keepdims=True, initial=0.0)
+    b_eq = rng.normal(0.3, 0.3, size=len(a_eq))
+    if rng.random() < 0.7:
+        a_eq, b_eq = np.vstack([np.ones((1, d)), a_eq]), np.concatenate([[1.0], b_eq])
+    return (rng.normal(size=d), a_ub, b_ub, a_eq, b_eq)
+
+
+def integer_lp(rng: np.random.Generator) -> tuple:
+    """Small-integer data, where ratio-test ties and degenerate pivots are common."""
+    d = int(rng.integers(2, 8))
+    a_ub = rng.integers(-3, 4, size=(int(rng.integers(1, 8)), d)).astype(float)
+    b_ub = rng.integers(-2, 6, size=len(a_ub)).astype(float)
+    a_eq = rng.integers(-2, 3, size=(int(rng.integers(0, 3)), d)).astype(float)
+    b_eq = rng.integers(-1, 4, size=len(a_eq)).astype(float)
+    return (rng.integers(-4, 5, size=d).astype(float), a_ub, b_ub, a_eq, b_eq)
+
+
+def infeasible_lp(rng: np.random.Generator) -> tuple:
+    """A box whose lower bounds sum past 1, or two rows that contradict."""
+    d = int(rng.integers(2, 15))
+    if rng.random() < 0.5:
+        lows = rng.uniform(1.0 / d, 2.0 / d, size=d) + 0.01 / d
+        return credal_lp(rng.normal(size=d), -np.eye(d) + 0.0, -lows)
+    row = rng.normal(size=d)
+    row /= np.abs(row).max()
+    a_ub = np.vstack([row, -row])
+    return credal_lp(rng.normal(size=d), a_ub, np.array([-0.5, 0.25]))
+
+
+LP_KINDS = {
+    "interval": lambda rng: interval_lp(rng, int(rng.integers(3, 21))),
+    "benchmark-interval": benchmark_interval_lp,
+    "unit-rows": unit_rows_lp,
+    "integer": integer_lp,
+    "infeasible": infeasible_lp,
+}
+
+
+def assert_kernels_agree(monkeypatch, lps) -> collections.Counter:
+    """Each LP solved by both kernels gives identical outcomes; returns outcome kinds."""
+    kinds: collections.Counter = collections.Counter()
+    for lp in lps:
+        got = solve_recorded(monkeypatch, simplex, "_pivot", simplex.maximize, lp)
+        want = solve_recorded(
+            monkeypatch, reference_solvers, "simplex_pivot_reference",
+            simplex_maximize_reference, lp,
+        )
+        assert got == want
+        kinds[want[0].__name__ if isinstance(want[0], type) else "optimal"] += 1
+    return kinds
+
+
+@pytest.mark.parametrize("kind", LP_KINDS)
+def test_simplex_matches_row_loop_kernel(monkeypatch, kind):
+    rng = np.random.default_rng(list(LP_KINDS).index(kind))
+    kinds = assert_kernels_agree(monkeypatch, [LP_KINDS[kind](rng) for _ in range(80)])
+    expected = {
+        "interval": {"optimal", "Infeasible"},
+        "benchmark-interval": {"optimal"},
+        "unit-rows": {"optimal", "Infeasible", "Unbounded"},
+        "integer": {"optimal", "Infeasible", "Unbounded"},
+        "infeasible": {"Infeasible"},
+    }[kind]
+    assert set(kinds) == expected
+
+
+def test_simplex_matches_row_loop_kernel_on_infinite_gambles(monkeypatch):
+    # regret_matrix solves these under the same errstate when payoffs overflow
+    rng = np.random.default_rng(11)
+    lps = []
+    for _ in range(40):
+        gamble, *rows = interval_lp(rng, int(rng.integers(3, 15)))
+        spots = rng.choice(len(gamble), size=int(rng.integers(1, 3)), replace=False)
+        gamble[spots] = rng.choice([np.inf, -np.inf], size=len(spots))
+        lps.append((gamble, *rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinds = assert_kernels_agree(monkeypatch, lps)
+    assert kinds["optimal"] > 0
+
+
+def test_simplex_pivot_warns_no_more_than_the_row_loop():
+    # The masked pivot never multiplies a row whose factor is zero, so an
+    # infinite pivot row gives no 0 * inf there.
+    rows, d = box_cases()["rhs-overflows"]
+    lp = (np.array([1.0, 0.0]), np.eye(2), np.array([np.inf, 1.0]), np.zeros((0, 2)), np.zeros(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        credal = CredalSet.from_constraints(rows, d)
+        value, x = simplex.maximize(*lp)
+        assert credal.upper_expectation(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.8)
+    assert np.isinf(credal._b_ub).any()
+    assert (value, x.tolist()) == (np.inf, [np.inf, 0.0])  # the x_0 <= inf row was the pivot row
+    want_value, want_x = simplex_maximize_reference(*lp)
+    assert (repr(value), x.tobytes()) == (repr(want_value), want_x.tobytes())
