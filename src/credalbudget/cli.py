@@ -268,11 +268,9 @@ def _cmd_graph(args) -> int:
 
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        values = [int(x) for x in text.split(",") if x]
+        values = [int(x) for x in text.split(",")]  # an empty item fails here too
     except ValueError:
         raise ProblemFormatError(f"{flag}: expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ProblemFormatError(f"{flag}: expected at least one integer, got {text!r}")
     if len(set(values)) != len(values):
         raise ProblemFormatError(f"{flag}: each value may appear only once, got {text!r}")
     return values

@@ -4,7 +4,8 @@ A problem is JSON with states, named acts, and a credal set in vertex or
 constraint form; constraint form implies the simplex conditions, which files
 must not restate. A precomputed form replaces all of that with the pairwise
 regret matrix itself ("matrix" key, entries[i][j] = regret of keeping act i
-against challenger j). Matrix CSV files produced by the matrix command are
+against challenger j); "acts" may name its rows, and "states" or "credal"
+beside it are refused. Matrix CSV files produced by the matrix command are
 accepted as precomputed problems too.
 """
 
@@ -83,6 +84,9 @@ def problem_from_dict(data: dict) -> Problem:
         raise ProblemFormatError("problem: top level must be an object")
 
     if "matrix" in data:
+        for key in ("states", "credal"):
+            if key in data:
+                raise ProblemFormatError(f"{key}: not allowed with a matrix, which is precomputed")
         rows = data["matrix"]
         if not isinstance(rows, list) or not rows:
             raise ProblemFormatError("matrix: expected a nonempty list of rows")

@@ -2,10 +2,13 @@
 
 Problems here have a handful of variables (one per state) and a handful of
 rows, so a plain dense tableau with Bland's anti-cycling rule is both simple
-and robust. Variables are implicitly nonnegative. Each pivot is one masked
-numpy update of the whole tableau plus a ratio test over Python floats; it
-does the same element operations in the same order as a row-by-row loop, so
-values, points and pivot sequences are the loop's bit for bit.
+and robust. Variables are implicitly nonnegative. The tableau holds the `<=`
+then the `=` rows, each negated whole where its rhs is negative, over the
+variables, a slack per `<=` row, one block of artificials and the rhs. Each
+pivot is one masked numpy update of the whole tableau plus a ratio test over
+Python floats; it does the same element operations in the same order as a
+row-by-row loop, so values, points and pivot sequences are the loop's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     np.subtract(tableau, products, out=tableau, where=live)
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
+def _iterate(tableau: np.ndarray, basis: list[int]) -> None:
     """Run simplex pivots until the maximization tableau is optimal.
 
     Objective row is the last row and holds reduced costs z_j - c_j; a column
@@ -56,7 +59,7 @@ def _iterate(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
     the entering and rhs columns as Python floats, in row order.
     """
     for _ in range(_MAX_PIVOTS):
-        improving = tableau[-1, :ncols] < -OPT_TOL
+        improving = tableau[-1, :-1] < -OPT_TOL
         entering = int(improving.argmax())
         if not improving[entering]:
             return
@@ -91,99 +94,71 @@ def maximize(
     """Maximize objective @ x subject to a_ub @ x <= b_ub, a_eq @ x = b_eq, x >= 0.
 
     Returns (optimal value, an optimal x). Raises Infeasible when the rows
-    admit no nonnegative solution and Unbounded when the maximum does not
-    exist; the credal-set polytopes this package builds are compact, so
+    admit no nonnegative solution, Unbounded when the maximum does not
+    exist, and GuardExceededError when a phase takes more than _MAX_PIVOTS
+    pivots; the credal-set polytopes this package builds are compact, so
     Unbounded escaping this module signals a malformed caller.
     """
-    objective = np.asarray(objective, dtype=float)
+    objective = np.asarray(objective, dtype=float).ravel()
     nvars = objective.size
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, nvars)
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, nvars)
-    b_ub = np.asarray(b_ub, dtype=float).ravel()
-    b_eq = np.asarray(b_eq, dtype=float).ravel()
+    n_ub = len(a_ub)
+    m = n_ub + len(a_eq)
+    b_ub = np.asarray(b_ub, dtype=float).reshape(n_ub)  # a length mismatch raises
+    b_eq = np.asarray(b_eq, dtype=float).reshape(len(a_eq))
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[str] = []  # 'le' (slack) or 'ge' (surplus+artificial) or 'eq'
-    for coefs, b in zip(a_ub, b_ub):
-        if b >= 0:
-            rows.append(coefs.copy())
-            rhs.append(float(b))
-            kinds.append("le")
-        else:
-            rows.append(-coefs)
-            rhs.append(float(-b))
-            kinds.append("ge")
-    for coefs, b in zip(a_eq, b_eq):
-        rows.append(coefs.copy() if b >= 0 else -coefs)
-        rhs.append(float(abs(b)))
-        kinds.append("eq")
-
-    m = len(rows)
-    n_slack = sum(1 for k in kinds if k in ("le", "ge"))
-    n_art = sum(1 for k in kinds if k in ("ge", "eq"))
-    ncols = nvars + n_slack + n_art
+    # A row whose rhs is not >= 0 (NaN included) is negated whole, so a `<=`
+    # row's slack becomes its surplus; its zeros turn -0.0, and a zero's sign
+    # never reaches a value, a point or a pivot choice. Those `<=` rows and
+    # every `=` row get an artificial, in row order.
+    flipped = [r for r, b in enumerate(b_ub.tolist() + b_eq.tolist()) if not b >= 0]
+    art_rows = [r for r in flipped if r < n_ub] + list(range(n_ub, m))
+    art_start = nvars + n_ub
+    ncols = art_start + len(art_rows)
 
     tableau = np.zeros((m + 1, ncols + 1))
-    basis: list[int] = []
-    slack_at = nvars
-    art_at = nvars + n_slack
-    art_cols: list[int] = []
-    for r in range(m):
-        tableau[r, :nvars] = rows[r]
-        tableau[r, -1] = rhs[r]
-        if kinds[r] == "le":
-            tableau[r, slack_at] = 1.0
-            basis.append(slack_at)
-            slack_at += 1
-        elif kinds[r] == "ge":
-            tableau[r, slack_at] = -1.0
-            slack_at += 1
-            tableau[r, art_at] = 1.0
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            tableau[r, art_at] = 1.0
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
+    tableau[:n_ub, :nvars] = a_ub
+    tableau[:n_ub, -1] = b_ub
+    tableau[n_ub:m, :nvars] = a_eq
+    tableau[n_ub:m, -1] = b_eq
+    np.fill_diagonal(tableau[:n_ub, nvars:], 1.0)
+    for r in flipped:
+        np.negative(tableau[r], out=tableau[r])
+    np.abs(tableau[n_ub:m, -1], out=tableau[n_ub:m, -1])
+    basis = list(range(nvars, nvars + m))  # slacks; artificial rows are reset below
+    for col, r in enumerate(art_rows, art_start):
+        tableau[r, col] = 1.0
+        basis[r] = col
 
     # Phase 1: maximize -(sum of artificials); reduced-cost row starts as
-    # -(sum of rows with an artificial basic) so basic columns read zero.
-    if art_cols:
-        for r in range(m):
-            if basis[r] in art_cols:
-                tableau[-1] -= tableau[r]
-        for c in art_cols:
-            tableau[-1, c] = 0.0
-        _iterate(tableau, basis, ncols)
+    # -(sum of the artificial rows) so basic columns read zero.
+    if art_rows:
+        for r in art_rows:
+            tableau[-1] -= tableau[r]
+        tableau[-1, art_start:-1] = 0.0
+        _iterate(tableau, basis)
         if tableau[-1, -1] < -FEAS_TOL:
             raise Infeasible("phase-1 optimum leaves infeasibility %g" % -tableau[-1, -1])
         # Drive leftover artificials out of the basis; all-zero rows are
         # redundant constraints and can be neutralized in place.
-        art_set = set(art_cols)
         for r in range(m):
-            if basis[r] in art_set:
-                for j, coef in enumerate(tableau[r, :ncols].tolist()):
-                    if j not in art_set and abs(coef) > FEAS_TOL:
+            if basis[r] >= art_start:
+                for j, coef in enumerate(tableau[r, :art_start].tolist()):
+                    if abs(coef) > FEAS_TOL:
                         _pivot(tableau, r, j)
                         basis[r] = j
                         break
-        for c in art_cols:
-            tableau[:, c] = 0.0
+        tableau[:, art_start:-1] = 0.0
 
     # Phase 2: rebuild the reduced-cost row for the real objective.
-    cost = np.zeros(ncols)
-    cost[:nvars] = objective
-    tableau[-1, :] = 0.0
-    tableau[-1, :ncols] = -cost
-    costs = cost.tolist()
+    tableau[-1] = 0.0
+    tableau[-1, :nvars] = -objective
+    costs = objective.tolist()
     for r in range(m):
-        cb = costs[basis[r]]
-        if cb != 0.0:
-            tableau[-1] += cb * tableau[r]
-    _iterate(tableau, basis, ncols)
+        if basis[r] < nvars and costs[basis[r]] != 0.0:
+            tableau[-1] += costs[basis[r]] * tableau[r]
+    _iterate(tableau, basis)
 
     x = np.zeros(nvars)
     for r in range(m):

@@ -10,7 +10,9 @@ before subsets were scored in chunks. The maximin greedy cover pass is its
 per-act (gain, -index) tuple max, as it stood before gains became one list
 per round. The dense simplex is its row-by-row pivot loop and ratio test
 over numpy scalars, as they stood before each pivot became one masked
-tableau update. The differential tests compare the library against them; do
+tableau update, and its standard form built from per-row lists of rows,
+rhs values and row kinds, as it stood before the tableau was written
+directly. The differential tests compare the library against them; do
 not change them to match the library.
 
 The seeded branches of the minimax and greedy references state the seeded

@@ -94,6 +94,9 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
         (["--protocol", "negativity", "--dm-sizes", "20"], "--offsets"),
         (["--protocol", "negativity", "--dm-sizes", "2,2"], "--dm-sizes"),
         (["--protocol", "negativity", "--offsets", "0,0"], "--offsets"),
+        (["--protocol", "negativity", "--dm-sizes", "2,,5"], "--dm-sizes"),
+        (["--protocol", "negativity", "--dm-sizes", "2,"], "--dm-sizes"),
+        (["--protocol", "negativity", "--dm-sizes", "2", "--offsets", ",2"], "--offsets"),
     ],
 )
 def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, flags, flag):
@@ -633,8 +636,15 @@ def test_non_finite_matrix_csv_exits_one(capsys, tmp_path, cell, problem):
         (".csv", ",,b\n,,1\nb,1,\n", "matrix csv header: names must be nonempty"),
         (".json", '{"matrix": [[0, 1], [1, 0]], "acts": ["", "b"]}', "acts: names must be nonempty"),
         (".json", '{"matrix": [[0, 1], [1, 0]], "acts": ["a", "a"]}', "acts: names must be unique"),
+        (
+            ".json",
+            '{"matrix": [[0, 1], [2, 0]], "states": ["s", "t"],'
+            ' "credal": {"vertices": [[0.5, 0.5]]}}',
+            "states: not allowed with a matrix",
+        ),
+        (".json", '{"matrix": [[0, 1], [2, 0]], "credal": {}}', "credal: not allowed with a matrix"),
     ],
-    ids=["csv-duplicate", "csv-empty", "json-empty", "json-duplicate"],
+    ids=["csv-duplicate", "csv-empty", "json-empty", "json-duplicate", "json-states", "json-credal"],
 )
 def test_bad_matrix_act_names_exit_one(capsys, tmp_path, suffix, text, message):
     path = tmp_path / f"names{suffix}"

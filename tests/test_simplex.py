@@ -92,6 +92,16 @@ def test_unbounded_raises():
         )
 
 
+@pytest.mark.parametrize("rows", ["ub", "eq"])
+def test_rhs_length_must_match_the_rows(rows):
+    # a single rhs is neither broadcast over two rows nor cut down to one row
+    a, b = np.eye(2), np.array([1.0])
+    empty = (np.zeros((0, 2)), np.zeros(0))
+    lp = (a, b, *empty) if rows == "ub" else (*empty, a, b)
+    with pytest.raises(ValueError):
+        simplex.maximize(np.ones(2), *lp)
+
+
 def test_redundant_equality_rows():
     value, _ = simplex.maximize(
         np.array([2.0, 1.0]),
