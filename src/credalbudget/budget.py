@@ -100,7 +100,7 @@ class CoverFamily:
 
 def _validate_k(k: int) -> None:
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k: must be >= 1, got {k}")
 
 
 def _policy(tie_break: str, seed: int | None) -> tuple[str, np.random.Generator | None]:
@@ -416,27 +416,22 @@ def solve_maximin(
     covers = cover_family(matrix, value)
     if _greedy_cover(covers, k) is None:
         levels = np.unique(matrix.off_diagonal_values())
-        floor, floor_covers = int(np.searchsorted(levels, value)), covers
         # The minimax subset reaches every act at its own maximin regret.
         witness = maximin_regret(matrix, solve_minimax(matrix, k).subset)
-        lo, hi = floor, int(np.searchsorted(levels, witness))
-
-        def covers_at(index: int) -> CoverFamily:
-            if index == floor:
-                return floor_covers
-            return cover_family(matrix, float(levels[index]))
-
-        covers = None  # the covers at levels[hi] once a probe finds them feasible
+        lo, hi = np.searchsorted(levels, [value, witness]).tolist()
+        families = {lo: covers}  # covers by level index, the floor's first
         while lo < hi:
             mid = (lo + hi) // 2
-            probe = covers_at(mid)
+            if mid not in families:
+                families[mid] = cover_family(matrix, float(levels[mid]))
+            probe = families[mid]
             if _greedy_cover(probe, k) or _cover_count(probe, k, 1, nodes_left):
-                hi, covers = mid, probe
+                hi = mid
             else:
                 lo = mid + 1
-        if covers is None:
-            covers = covers_at(lo)
         value = float(levels[lo])
+        # lo == hi: a level a probe found feasible, the floor, or the unprobed ceiling
+        covers = families[lo] if lo in families else cover_family(matrix, value)
     if rng is None:
         found = reachability_check(covers, k, nodes_left=nodes_left)
     else:

@@ -37,7 +37,7 @@ from .errors import GuardExceededError, InfeasibleCredalError, ProblemFormatErro
 from .gen import GenConfig
 from .instances import builtin_instances, verify_instance
 from .problemio import load_problem
-from .regret import NEG_INFINITY, maximal_acts, matrix_to_csv
+from .regret import NEG_INFINITY, display_rows, maximal_acts, matrix_to_csv
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -96,14 +96,7 @@ def _emit_matrix(matrix, fmt: str) -> None:
             )
         )
     else:
-        head = [""] + list(matrix.names)
-        rows = [head]
-        for j in range(matrix.n):
-            row = [matrix.names[j]]
-            for i in range(matrix.n):
-                row.append("-" if i == j else _cell_value(matrix.entries[i, j]))
-            rows.append(row)
-        _print_table(rows)
+        _print_table(list(display_rows(matrix, _cell_value, "-")))
 
 
 def _print_csv(*rows) -> None:
@@ -216,22 +209,15 @@ def _cmd_maximality(args) -> int:
     return EXIT_OK
 
 
-def _require_k(args) -> int:
-    if args.k < 1:
-        raise ProblemFormatError(f"k: must be >= 1, got {args.k}")
-    return args.k
-
-
 def _cmd_solve(args) -> int:
     matrix = load_problem(args.problem).regret_matrix()
-    k = _require_k(args)
     crit = Criterion(args.criterion)
     if crit is Criterion.MINIMAX:
-        solution = solve_minimax(matrix, k, tie_break=args.tie_break, seed=args.seed)
+        solution = solve_minimax(matrix, args.k, tie_break=args.tie_break, seed=args.seed)
     elif crit is Criterion.MAXIMIN:
-        solution = solve_maximin(matrix, k, tie_break=args.tie_break, seed=args.seed)
+        solution = solve_maximin(matrix, args.k, tie_break=args.tie_break, seed=args.seed)
     else:
-        solution = solve_greedy(matrix, k, crit, tie_break=args.tie_break, seed=args.seed)
+        solution = solve_greedy(matrix, args.k, crit, tie_break=args.tie_break, seed=args.seed)
     _emit_solution(solution, matrix.names, args.fmt)
     return EXIT_OK
 
@@ -239,7 +225,7 @@ def _cmd_solve(args) -> int:
 def _cmd_decide(args) -> int:
     matrix = load_problem(args.problem).regret_matrix()
     chosen = budgeted_rule(
-        matrix, _require_k(args), Criterion(args.criterion),
+        matrix, args.k, Criterion(args.criterion),
         tie_break=args.tie_break, seed=args.seed,
     )
     _emit_names([matrix.names[i] for i in chosen], args.fmt, "decision")
@@ -248,7 +234,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_oracle(args) -> int:
     matrix = load_problem(args.problem).regret_matrix()
-    solution = oracle_solve(matrix, _require_k(args), Criterion(args.criterion))
+    solution = oracle_solve(matrix, args.k, Criterion(args.criterion))
     _emit_solution(solution, matrix.names, args.fmt)
     return EXIT_OK
 

@@ -5,8 +5,9 @@ constraint form; constraint form implies the simplex conditions, which files
 must not restate. A precomputed form replaces all of that with the pairwise
 regret matrix itself ("matrix" key, entries[i][j] = regret of keeping act i
 against challenger j); "acts" may name its rows, and "states" or "credal"
-beside it are refused. Matrix CSV files produced by the matrix command are
-accepted as precomputed problems too.
+beside it are refused. A key the format does not define is refused at every
+level, so a misspelt one is never silently dropped. Matrix CSV files
+produced by the matrix command are accepted as precomputed problems too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .regret import RegretMatrix, matrix_from_csv, regret_matrix
 class Problem:
     """A loaded decision problem; exactly one of (acts+credal) or matrix."""
 
-    states: StateSpace | None
     acts: tuple[Act, ...] | None
     credal: CredalSet | None
     matrix: RegretMatrix | None
@@ -51,6 +51,12 @@ def _require(data: dict, key: str, kind, where: str):
     if kind is not None and not isinstance(value, kind):
         raise ProblemFormatError(f"{where}.{key}: wrong type {type(value).__name__}")
     return value
+
+
+def _reject_unknown(data: dict, known: tuple[str, ...], prefix: str) -> None:
+    for key in data:
+        if key not in known:
+            raise ProblemFormatError(f"{prefix}{key}: unknown key")
 
 
 def _numeric_vector(values, length: int | None, where: str) -> tuple[float, ...]:
@@ -87,6 +93,7 @@ def problem_from_dict(data: dict) -> Problem:
         for key in ("states", "credal"):
             if key in data:
                 raise ProblemFormatError(f"{key}: not allowed with a matrix, which is precomputed")
+        _reject_unknown(data, ("matrix", "acts"), "")
         rows = data["matrix"]
         if not isinstance(rows, list) or not rows:
             raise ProblemFormatError("matrix: expected a nonempty list of rows")
@@ -101,8 +108,9 @@ def problem_from_dict(data: dict) -> Problem:
         if len(names) != n:
             raise ProblemFormatError(f"acts: expected {n} names, got {len(names)}")
         _check_act_names(names, "acts")
-        return Problem(None, None, None, RegretMatrix(tuple(names), entries))
+        return Problem(None, None, RegretMatrix(tuple(names), entries))
 
+    _reject_unknown(data, ("states", "acts", "credal"), "")
     labels = _require(data, "states", list, "problem")
     if not all(isinstance(s, str) for s in labels):
         raise ProblemFormatError("states: expected a list of strings")
@@ -118,6 +126,7 @@ def problem_from_dict(data: dict) -> Problem:
     for idx, entry in enumerate(raw_acts):
         if not isinstance(entry, dict):
             raise ProblemFormatError(f"acts[{idx}]: expected an object")
+        _reject_unknown(entry, ("name", "payoffs"), f"acts[{idx}].")
         name = _require(entry, "name", str, f"acts[{idx}]")
         payoffs = _numeric_vector(
             _require(entry, "payoffs", list, f"acts[{idx}]"), states.size, f"acts[{idx}].payoffs"
@@ -129,6 +138,7 @@ def problem_from_dict(data: dict) -> Problem:
     _check_act_names([a.name for a in acts], "acts")
 
     raw_credal = _require(data, "credal", dict, "problem")
+    _reject_unknown(raw_credal, ("vertices", "constraints"), "credal.")
     has_vertices = "vertices" in raw_credal
     has_constraints = "constraints" in raw_credal
     if has_vertices == has_constraints:
@@ -153,6 +163,7 @@ def problem_from_dict(data: dict) -> Problem:
         for i, entry in enumerate(raw_rows):
             if not isinstance(entry, dict):
                 raise ProblemFormatError(f"credal.constraints[{i}]: expected an object")
+            _reject_unknown(entry, ("coeffs", "relation", "rhs"), f"credal.constraints[{i}].")
             coeffs = _numeric_vector(
                 _require(entry, "coeffs", list, f"credal.constraints[{i}]"),
                 states.size,
@@ -168,15 +179,15 @@ def problem_from_dict(data: dict) -> Problem:
                 raise ProblemFormatError(f"credal.constraints[{i}]: {exc}") from exc
         credal = CredalSet.from_constraints(rows, states.size)  # raises InfeasibleCredalError
 
-    return Problem(states, tuple(acts), credal, None)
+    return Problem(tuple(acts), credal, None)
 
 
 def load_problem(path) -> Problem:
     """Load a problem from a JSON file or a matrix-CSV file."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"problem file {p}: {exc}") from exc
     if p.suffix.lower() == ".csv":
         try:
@@ -184,7 +195,7 @@ def load_problem(path) -> Problem:
         except ValueError as exc:
             raise ProblemFormatError(f"problem file {p}: {exc}") from exc
         _check_act_names(matrix.names, f"problem file {p}: matrix csv header")
-        return Problem(None, None, None, matrix)
+        return Problem(None, None, matrix)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

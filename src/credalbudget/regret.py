@@ -2,9 +2,10 @@
 
 The matrix stores entries[i, j] = upper expectation of (payoff_j - payoff_i):
 the worst expected loss of keeping act i when act j was available. Printed
-tables follow the opposite orientation (rows indexed by the challenger j),
-so only the CSV emitter and the CLI's table printer transpose; everything
-else reads entries[i, j].
+tables follow the opposite orientation (rows indexed by the challenger j):
+display_rows, which both the CSV emitter and the CLI's table printer use,
+is the one place that transposes (matrix_from_csv reads its CSV back);
+everything else reads entries[i, j].
 """
 
 from __future__ import annotations
@@ -194,19 +195,20 @@ def maximal_acts(matrix: RegretMatrix) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(keep))
 
 
-def matrix_to_csv(matrix: RegretMatrix) -> str:
-    """Render with challenger acts as rows and kept acts as columns.
+def display_rows(matrix: RegretMatrix, cell, diagonal: str):
+    """The printed orientation: a header row of the kept acts, then one row
+    per challenger j holding cell(entries[i, j]) for each kept act i and
+    `diagonal` where i == j."""
+    yield ["", *matrix.names]
+    for j, column in enumerate(matrix.entries.T.tolist()):
+        yield [matrix.names[j]] + [diagonal if i == j else cell(v) for i, v in enumerate(column)]
 
-    Matches the conventional printed orientation; the diagonal is left empty.
-    """
+
+def matrix_to_csv(matrix: RegretMatrix) -> str:
+    """Render with challenger acts as rows and kept acts as columns, six
+    decimals per entry; the diagonal is left empty."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(matrix.names))
-    for j in range(matrix.n):
-        row: list[str] = [matrix.names[j]]
-        for i in range(matrix.n):
-            row.append("" if i == j else f"{matrix.entries[i, j]:.6f}")
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(display_rows(matrix, "{:.6f}".format, ""))
     return buf.getvalue()
 
 

@@ -648,7 +648,7 @@ def test_invalid_k_and_tie_break(matrices):
 def test_reachability_rejects_k_below_one(matrices, bad):
     matrix = matrices["intro"]
     covers = cover_family(matrix, 0.0)
-    with pytest.raises(ValueError, match="k must be >= 1"):
+    with pytest.raises(ValueError, match="k: must be >= 1"):
         reachability_check(covers, bad)
 
 

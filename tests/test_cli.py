@@ -469,12 +469,14 @@ def test_simplex_pivot_guard_exits_three(capsys, monkeypatch, problem_dir):
 
 
 def test_bad_k_rejected(capsys, problem_dir):
-    code, _, err = run_cli(
-        capsys, "solve", "--problem", str(problem_dir / "intro.json"),
-        "--k", "0", "--criterion", "minimax",
-    )
-    assert code == 1
-    assert "k" in err
+    # Every command that takes --k, under every criterion it offers.
+    p = ["--problem", str(problem_dir / "intro.json")]
+    commands = [("solve", c) for c in ("minimax", "maximin", "greedy-minimax", "greedy-maximin")]
+    commands += [(command, c) for command in ("decide", "oracle") for c in ("minimax", "maximin")]
+    for k in (0, -2):
+        for command, criterion in commands:
+            outcome = run_cli(capsys, command, *p, "--k", str(k), "--criterion", criterion)
+            assert outcome == (1, "", f"error: k: must be >= 1, got {k}\n"), (command, criterion)
 
 
 def test_usage_error_exits_one(capsys):
@@ -629,6 +631,9 @@ def test_non_finite_matrix_csv_exits_one(capsys, tmp_path, cell, problem):
     assert f"matrix csv row 2, column 'a1': '{cell}' is not {problem}" in err
 
 
+_STATES_ACTS = '"states": ["s", "t"], "acts": [{"name": "a", "payoffs": [1, 2]}]'
+
+
 @pytest.mark.parametrize(
     "suffix, text, message",
     [
@@ -643,8 +648,36 @@ def test_non_finite_matrix_csv_exits_one(capsys, tmp_path, cell, problem):
             "states: not allowed with a matrix",
         ),
         (".json", '{"matrix": [[0, 1], [2, 0]], "credal": {}}', "credal: not allowed with a matrix"),
+        # a key the format does not define is refused, not dropped, at every level
+        (".json", '{"matrix": [[0, 1], [2, 0]], "act": ["x", "y"]}', "act: unknown key"),
+        (
+            ".json",
+            '{"states": ["s", "t"], "acts": [{"name": "a", "payoffs": [1, 2], "payof": [1, 2]}],'
+            ' "credal": {"vertices": [[0.5, 0.5]]}}',
+            "acts[0].payof: unknown key",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"vertices": [[0.5, 0.5]], "constraints_": []}}',
+            "credal.constraints_: unknown key",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"constraints":'
+            ' [{"coeffs": [1, 0], "relation": "<=", "rhs": 0.7, "rhs2": 1}]}}',
+            "credal.constraints[0].rhs2: unknown key",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"vertices": [[0.5, 0.5]]}, "matrixx": []}',
+            "matrixx: unknown key",
+        ),
     ],
-    ids=["csv-duplicate", "csv-empty", "json-empty", "json-duplicate", "json-states", "json-credal"],
+    ids=[
+        "csv-duplicate", "csv-empty", "json-empty", "json-duplicate", "json-states", "json-credal",
+        "unknown-top-act", "unknown-act-payof", "unknown-credal-constraints_",
+        "unknown-constraint-rhs2", "unknown-top-matrixx",
+    ],
 )
 def test_bad_matrix_act_names_exit_one(capsys, tmp_path, suffix, text, message):
     path = tmp_path / f"names{suffix}"
@@ -654,3 +687,12 @@ def test_bad_matrix_act_names_exit_one(capsys, tmp_path, suffix, text, message):
     )
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_non_utf8_problem_file_names_the_file(capsys, tmp_path, suffix):
+    path = tmp_path / f"latin1{suffix}"
+    path.write_bytes(b"\xff" + ",a1,a2\na1,,1\na2,1,\n".encode())
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path), "--k", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: problem file {path}: 'utf-8' codec can't decode byte 0xff")

@@ -221,8 +221,8 @@ def test_maximin_matches_reference_on_uniform(monkeypatch):
     # are built twice in one solve.
     import credalbudget.budget as budget_mod
 
-    greedy, build = budget_mod._greedy_cover, budget_mod.cover_family
-    passes, probed, built = [], [], []
+    greedy, build, count = budget_mod._greedy_cover, budget_mod.cover_family, budget_mod._cover_count
+    passes, probed, built, spent = [], [], [], []
 
     def recorded(covers, k):
         probed.append(covers)
@@ -233,22 +233,34 @@ def test_maximin_matches_reference_on_uniform(monkeypatch):
         built.append(alpha)
         return build(matrix, alpha)
 
+    def counting(covers, picks, cap, nodes_left, *rest):
+        before = nodes_left[0]
+        try:
+            return count(covers, picks, cap, nodes_left, *rest)
+        finally:
+            spent.append(before - nodes_left[0])
+
     monkeypatch.setattr(budget_mod, "_greedy_cover", recorded)
     monkeypatch.setattr(budget_mod, "cover_family", building)
+    monkeypatch.setattr(budget_mod, "_cover_count", counting)
     floor_misses = probe_hits = floor_reuses = 0
+    lex_nodes = seeded_nodes = 0
     for n in range(10, 17):
         for m in range(4):
             entries = np.random.default_rng(5000 + 10 * n + m).uniform(0, 1, (n, n))
             matrix = RegretMatrix(tuple(f"a{i}" for i in range(n)), entries)
             for k in range(1, n + 1):
+                spent.clear()
                 sol = solve_maximin(matrix, k)
                 assert (sol.subset, repr(sol.value)) == _repr(maximin_reference(entries, k, None))
+                lex_nodes += sum(spent)
                 # The seeded path calls the greedy pass only at the floor and
                 # at the probes, in that order.
-                passes.clear(), probed.clear(), built.clear()
+                passes.clear(), probed.clear(), built.clear(), spent.clear()
                 sol = solve_maximin(matrix, k, tie_break="seeded", seed=k)
                 ref = maximin_reference(entries, k, seeded_rng(k))
                 assert (sol.subset, repr(sol.value)) == _repr(ref)
+                seeded_nodes += sum(spent)
                 assert len(set(built)) == len(built)
                 if passes and passes[0] is None:
                     floor_misses += 1
@@ -257,6 +269,10 @@ def test_maximin_matches_reference_on_uniform(monkeypatch):
     assert floor_misses > 50
     assert probe_hits > 50
     assert floor_reuses > 5
+    # The search work of the whole sweep, in counting cover search nodes. A
+    # change that means to alter the search updates these totals and says so
+    # in CHANGES.md.
+    assert (lex_nodes, seeded_nodes) == (3681, 15632)
 
 
 @pytest.mark.parametrize("criterion", ["minimax", "maximin"])
