@@ -1,34 +1,14 @@
 """Optimal budgeted subsets of acts under the two regret criteria.
 
-The minimax solver is the direct polynomial selection over per-act top-k
-regret columns. The maximin solver bisects the candidate levels alpha: k
-acts can answer every outside challenger at regret <= alpha at every level
-above a feasible one, so the lowest feasible level is found by bisecting
-between two bounds. No level below the (n - k)-th smallest column minimum
-is feasible, since each of the n - k acts left out needs an answer within
-it; that minimum is itself an entry, so it is the floor level. The minimax
-subset's own maximin regret is a feasible level. Covers are int bitmasks:
-per act, the acts it answers and the acts that answer it. A greedy pass, k
-picks of the act reaching the most acts not yet reached, proves a level
-feasible whenever it reaches every act, at no search node. It runs first at
-the floor, where success proves the optimum, so the sorted level list and
-the ceiling are built only when it fails there, and then at each probed
-level before any exact search. One counting cover search answers every other
-maximin question. It counts, up to a cap, the k-subsets that reach every
-act, branching on the uncovered act with the fewest coverers left (the
-most-constrained-first rule of Knuth's Dancing Links) and barring each
-coverer once tried, so its branches partition the subsets. It prunes when
-more uncovered acts have pairwise disjoint coverers than acts are still to
-pick (a packing bound from exact dominating-set search), and when the
-largest gains of the acts still to pick cannot reach every act not yet
-covered. A probe that greedy does not prove asks it for one subset. At the
-lowest feasible level, which is the optimum itself, the lex subset comes
-from the greedy pass or else is the satisfying subset at lexicographic rank
-0, built pick by pick from counts; the seeded policy first counts the
-optima, then builds the drawn rank the same way. All searches of one solve
-count their nodes against one budget and raise GuardExceededError past
-MAXIMIN_MAX_NODES. A brute-force oracle evaluates every subset for
-cross-checking.
+solve_minimax is the direct polynomial selection over per-act top-k regret
+columns. solve_maximin bisects the candidate regret levels, proving each
+probe feasible with the greedy pass (_greedy_cover) or the counting cover
+search (_cover_count) over int-bitmask covers (cover_family); its docstring
+gives the algorithm. solve_greedy takes k rounds of the single-pick solver,
+budgeted_rule turns an exact optimum into the decision rule, and the
+brute-force oracle (oracle_solve, oracle_optima) evaluates every subset for
+cross-checking. Every maximin search counts its nodes against one budget and
+raises GuardExceededError past MAXIMIN_MAX_NODES.
 """
 
 from __future__ import annotations
@@ -110,7 +90,7 @@ def _policy(tie_break: str, seed: int | None) -> tuple[str, np.random.Generator 
     if tie_break == LEX:
         return LEX, None
     if tie_break == SEEDED:
-        return f"seeded:{actual}", np.random.default_rng(np.random.PCG64(actual))
+        return f"seeded:{actual}", np.random.default_rng(actual)
     raise ValueError(f"tie_break: expected '{LEX}' or '{SEEDED}', got {tie_break!r}")
 
 
@@ -151,10 +131,7 @@ def solve_minimax(
     np.fill_diagonal(regrets, NEG_INFINITY)
     regrets.partition(n - k, axis=1)
     kth = regrets[:, n - k]
-    if rng is None:
-        i_star = int(np.argmin(kth))
-    else:
-        i_star = _pick((kth == kth.min()).nonzero()[0].tolist(), rng)
+    i_star = _pick((kth == kth.min()).nonzero()[0].tolist(), rng)
     top, best, drop = _row_top(entries[i_star].tolist(), i_star, k, rng)
     subset = sorted(({i_star} | set(top)) - {drop})
     return BudgetSolution(tuple(subset), best, Criterion.MINIMAX, 1, label)
@@ -209,8 +186,6 @@ def reachability_check(
     n = len(covers.masks)
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of acts {n}")
-    if k == n:
-        return tuple(range(n))
     found = _greedy_cover(covers, k)
     if found is not None:
         return found
@@ -262,15 +237,16 @@ def _cover_count(
     """min(cap, the number of `picks`-subsets of the acts from index `start`
     up whose covers reach every act not in `covered`).
 
-    Branches on the uncovered act with the fewest coverers still allowed,
-    trying them by decreasing gain, lower index first. Each coverer tried is
-    barred from the rest of its node, so the branches partition the subsets
-    and count each one once. A node whose acts are all covered counts every
-    way to fill its picks, and one with a single pick left counts the acts
-    that cover all that is missing. A node counts none when it finds more
-    than `picks` uncovered acts with pairwise disjoint allowed coverers,
-    keeping them greedily by fewest coverers, or when its largest `picks`
-    gains cannot cover all that is missing. Each node spends one unit of
+    Branches on the uncovered act with the fewest coverers still allowed
+    (the most-constrained-first rule of Knuth's Dancing Links), trying them
+    by decreasing gain, lower index first. Each coverer tried is barred from
+    the rest of its node, so the branches partition the subsets and count
+    each one once. A node whose acts are all covered counts every way to
+    fill its picks, and one with a single pick left counts the acts that
+    cover all that is missing. A node counts none when it finds more than
+    `picks` uncovered acts with pairwise disjoint allowed coverers, keeping
+    them greedily by fewest coverers, or when its largest `picks` gains
+    cannot cover all that is missing. Each node spends one unit of
     nodes_left[0]; the search raises GuardExceededError once the budget is
     spent.
     """
@@ -490,10 +466,7 @@ def solve_greedy(
     np.fill_diagonal(regrets, NEG_INFINITY)
     worst = regrets.max(axis=1)
     for _ in range(min(k, n)):
-        if rng is None:
-            winner = int(worst.argmin())
-        else:
-            winner = _pick((worst == worst.min()).nonzero()[0].tolist(), rng)
+        winner = _pick((worst == worst.min()).nonzero()[0].tolist(), rng)
         chosen.append(winner)
         column = regrets[:, winner]  # a view: fill writes the working copy
         stale = (column == worst).nonzero()[0]
@@ -516,18 +489,17 @@ def budgeted_rule(
 ) -> tuple[int, ...]:
     """The k-budgeted decision rule for one of the exact criteria.
 
-    Returns the maximality set outright when the whole act set fits the
-    budget or when the optimal value is negative (the optimal subset then
-    already contains every maximal act); otherwise the optimal subset.
-    Any criterion other than minimax or maximin raises ValueError.
+    Returns the maximality set outright when the optimal value is negative
+    (the optimal subset then already contains every maximal act), which
+    includes k >= n, where the solvers return every act at value -inf;
+    otherwise the optimal subset. Any criterion other than minimax or
+    maximin raises ValueError.
     """
     _validate_k(k)
-    _policy(tie_break, seed)  # reject a bad policy even when the budget fits every act
+    _policy(tie_break, seed)  # a bad policy is refused before a bad criterion
     crit = Criterion(criterion)
     if crit not in (Criterion.MINIMAX, Criterion.MAXIMIN):
         raise ValueError(f"criterion: expected 'minimax' or 'maximin', got {crit.value!r}")
-    if matrix.n <= k:
-        return maximal_acts(matrix)
     solver = solve_minimax if crit is Criterion.MINIMAX else solve_maximin
     solution = solver(matrix, k, tie_break=tie_break, seed=seed)
     if solution.value < 0:

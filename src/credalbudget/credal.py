@@ -172,10 +172,6 @@ class CredalSet:
     def is_vertex_form(self) -> bool:
         return self._vertices is not None
 
-    @property
-    def vertices(self) -> np.ndarray | None:
-        return self._vertices
-
     def upper_expectation(self, gamble) -> float:
         """Maximum expectation of the gamble over the set."""
         g = np.asarray(gamble, dtype=float)
@@ -254,8 +250,7 @@ class CredalSet:
             solved = np.abs((systems @ points[..., None])[..., 0] - targets).max(axis=1)
             keep = solved <= 1e-7  # a larger residual means an ill-conditioned basis
             keep &= points.min(axis=1) >= -PMF_TOL
-            if len(self._b_ub):
-                keep &= (points @ self._a_ub.T - self._b_ub).max(axis=1) <= PMF_TOL
+            keep &= (points @ self._a_ub.T - self._b_ub).max(axis=1, initial=-np.inf) <= PMF_TOL
             points = points[keep]
             # State axis outermost: each max reduces whole (points, ...) planes
             # rather than a short inner axis of a few states; same bytes. The

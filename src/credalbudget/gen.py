@@ -39,22 +39,19 @@ class GenConfig:
             )
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(int(seed)))
-
-
 def sample_simplex(n_states: int, count: int, seed) -> np.ndarray:
     """Uniform pmfs on the unit simplex, one per row.
 
     Draws q uniformly on (0, 1) per state and normalizes the logs:
     p = ln q / sum(ln q), i.e. normalized unit-rate exponentials, which is
-    the flat Dirichlet. Accepts a seed int or an existing Generator.
+    the flat Dirichlet. `seed` goes to np.random.default_rng: an integer
+    seeds a fresh PCG64 generator and an existing Generator is used as is;
+    a non-integer seed such as 2.5 or "5" raises TypeError, and None draws
+    fresh entropy from the operating system, so it does not reproduce.
     """
     if n_states < 1 or count < 1:
         raise ValueError("sample_simplex: n_states and count must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     q = rng.random((count, n_states))
     while True:  # random() is [0, 1); ln 0 would poison the normalization
         zero = q == 0.0
@@ -72,14 +69,14 @@ def generate_instance(config: GenConfig) -> tuple[list[Act], CredalSet]:
     maximality count matches, up to RETRY_GUARD attempts. Sampled vertices
     that happen to be convex combinations of the others are kept.
     """
-    rng = _as_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     names = tuple(f"a{i + 1}" for i in range(config.n_acts))
     shape = (config.n_acts, config.n_states)
     for _ in range(RETRY_GUARD):
         credal = CredalSet.from_vertices(sample_simplex(config.n_states, config.n_vertices, rng))
         payoffs = rng.integers(0, 100, size=shape, endpoint=True).astype(float)  # 0..100 inclusive
         if config.target_dm is not None:
-            entries = pairwise_regret_from_vertices(credal.vertices, payoffs)
+            entries = pairwise_regret_from_vertices(credal.extreme_points(), payoffs)
             dm = maximal_acts(RegretMatrix(names, entries))
             if len(dm) != config.target_dm:
                 continue

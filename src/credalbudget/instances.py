@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import Criterion, oracle_solve, solve_maximin, solve_minimax
-from .problemio import Problem, problem_from_dict
+from .problemio import problem_from_dict
 from .regret import maximal_acts
 
 VALUE_TOL = 1e-9
@@ -26,7 +26,6 @@ VALUE_TOL = 1e-9
 @dataclass(frozen=True)
 class BuiltinInstance:
     name: str
-    title: str
     problem: dict
     expected: dict
 
@@ -75,7 +74,7 @@ def _intro() -> BuiltinInstance:
         },
         "minimax_tie_counts": {3: 2},
     }
-    return BuiltinInstance("intro", "five stocks, three states, interval credal set", problem, expected)
+    return BuiltinInstance("intro", problem, expected)
 
 
 def _sixacts() -> BuiltinInstance:
@@ -117,7 +116,7 @@ def _sixacts() -> BuiltinInstance:
             5: {"value": -3.0, "subset": ["a1", "a3", "a4", "a5", "a6"], "check": "if_unique"},
         },
     }
-    return BuiltinInstance("sixacts", "six acts over the same interval credal set", problem, expected)
+    return BuiltinInstance("sixacts", problem, expected)
 
 
 def _finance() -> BuiltinInstance:
@@ -176,7 +175,7 @@ def _finance() -> BuiltinInstance:
             6: {"value": -3.0, "subset": ["a1", "a2", "a5", "a7", "a8", "a9"], "check": "if_unique"},
         },
     }
-    return BuiltinInstance("finance", "ten stocks under probability bounds", problem, expected)
+    return BuiltinInstance("finance", problem, expected)
 
 
 def _multilabel() -> BuiltinInstance:
@@ -235,9 +234,7 @@ def _multilabel() -> BuiltinInstance:
             2: {"value": 0.4, "subset": ["[100]", "[101]"], "check": "always"},
         },
     }
-    return BuiltinInstance(
-        "multilabel", "binary label vectors under robustified product marginals", problem, expected
-    )
+    return BuiltinInstance("multilabel", problem, expected)
 
 
 def builtin_instances() -> dict[str, BuiltinInstance]:
@@ -247,9 +244,8 @@ def builtin_instances() -> dict[str, BuiltinInstance]:
     return out
 
 
-def _check_solutions(problem: Problem, matrix, criterion, expectations, issues: list[str]) -> None:
+def _check_solutions(matrix, criterion, expectations, issues: list[str]) -> None:
     solver = solve_minimax if criterion is Criterion.MINIMAX else solve_maximin
-    name_of = problem.act_names
     for k, want in sorted(expectations.items()):
         got = solver(matrix, k)
         if abs(got.value - want["value"]) > VALUE_TOL:
@@ -261,7 +257,7 @@ def _check_solutions(problem: Problem, matrix, criterion, expectations, issues: 
             if oracle_solve(matrix, k, criterion).tie_count != 1:
                 check = None
         if check:
-            got_names = {name_of[i] for i in got.subset}
+            got_names = {matrix.names[i] for i in got.subset}
             if got_names != set(want["subset"]):
                 issues.append(
                     f"{criterion.value} k={k}: subset {sorted(got_names)}, "
@@ -303,8 +299,8 @@ def verify_instance(instance: BuiltinInstance) -> list[str]:
     if dm_names != list(expected["maximality"]):
         issues.append(f"maximality: {dm_names}, expected {list(expected['maximality'])}")
 
-    _check_solutions(problem, matrix, Criterion.MINIMAX, expected["minimax"], issues)
-    _check_solutions(problem, matrix, Criterion.MAXIMIN, expected["maximin"], issues)
+    _check_solutions(matrix, Criterion.MINIMAX, expected["minimax"], issues)
+    _check_solutions(matrix, Criterion.MAXIMIN, expected["maximin"], issues)
 
     for k, count in expected.get("minimax_tie_counts", {}).items():
         got = oracle_solve(matrix, k, Criterion.MINIMAX).tie_count

@@ -32,12 +32,6 @@ class Problem:
     credal: CredalSet | None
     matrix: RegretMatrix | None
 
-    @property
-    def act_names(self) -> tuple[str, ...]:
-        if self.matrix is not None:
-            return self.matrix.names
-        return tuple(a.name for a in self.acts)
-
     def regret_matrix(self) -> RegretMatrix:
         if self.matrix is not None:
             return self.matrix

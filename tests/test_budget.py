@@ -28,6 +28,7 @@ from credalbudget.gen import GenConfig, generate_instance
 from credalbudget.regret import (
     NEG_INFINITY,
     RegretMatrix,
+    maximal_acts,
     maximin_regret,
     minimax_regret,
     regret_matrix,
@@ -188,6 +189,12 @@ def random_cover_families():
             sum(1 << i for i in range(n) if masks[i] >> j & 1) for j in range(n)
         )
         yield n, covers
+
+
+def test_reachability_at_k_equal_n_takes_every_act():
+    # Each act answers itself, so at k = n the greedy pass reaches every act.
+    for n, covers in random_cover_families():
+        assert reachability_check(covers, n) == tuple(range(n))
 
 
 def satisfying_subsets(covers, k, n):
@@ -392,6 +399,16 @@ def test_budgeted_rule_branches(matrices):
     six = matrices["sixacts"]
     assert names_of(six, budgeted_rule(six, 2, Criterion.MAXIMIN)) == {"a3", "a6"}
     assert names_of(six, budgeted_rule(six, 3, Criterion.MINIMAX)) == {"a3", "a4", "a6"}
+    # At k >= n the solvers return every act at -inf, which the rule maps to
+    # the maximality set; a negative seed is still refused there.
+    for matrix, k in ((intro, 5), (intro, 9), (six, 6)):
+        for crit in (Criterion.MINIMAX, Criterion.MAXIMIN):
+            assert budgeted_rule(matrix, k, crit) == maximal_acts(matrix)
+            seeded = budgeted_rule(matrix, k, crit, tie_break="seeded", seed=3)
+            assert seeded == maximal_acts(matrix)
+            for tie_break in ("lex", "seeded"):
+                with pytest.raises(ValueError, match="seed: must be >= 0, got -1"):
+                    budgeted_rule(matrix, k, crit, tie_break=tie_break, seed=-1)
 
 
 @pytest.mark.parametrize(

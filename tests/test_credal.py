@@ -118,9 +118,9 @@ def test_vertices_validation_and_renormalization():
     with pytest.raises(ValueError, match="negative"):
         CredalSet.from_vertices([[1.1, -0.1]])
     credal = CredalSet.from_vertices([[0.5 + 4e-10, 0.5 + 4e-10]])
-    assert credal.vertices.sum() == pytest.approx(1.0, abs=1e-15)
+    assert credal.extreme_points().sum() == pytest.approx(1.0, abs=1e-15)
     nudged = CredalSet.from_vertices([[1.0 + 5e-10, -5e-10]])
-    assert nudged.vertices.min() >= 0.0
+    assert nudged.extreme_points().min() >= 0.0
 
 
 def test_monotonicity_and_shift(interval_credal):
@@ -149,3 +149,33 @@ def test_state_space_and_act_validation():
         CredalSet.from_vertices([[0.5, 0.5, 0.0], [float("nan"), 0.5, 0.5]])
     with pytest.raises(ValueError, match="relation"):
         LinearConstraint((1.0,), "<", 0.5)
+
+
+def _count_linalg(monkeypatch):
+    """Record the batch size of every np.linalg.solve and slogdet call."""
+    calls = {"solve": [], "slogdet": []}
+    for name, batches in calls.items():
+        real = getattr(np.linalg, name)
+
+        def counted(systems, *args, _real=real, _batches=batches):
+            _batches.append(len(systems))
+            return _real(systems, *args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_box_enumeration_solves_only_the_vertex_choices(problems, monkeypatch):
+    # finance is a box: only row choices that can give a vertex are solved,
+    # in one batch, and no slogdet screens them.
+    calls = _count_linalg(monkeypatch)
+    points = problems["finance"].credal.extreme_points()
+    assert calls == {"solve": [36], "slogdet": []}
+    assert points.shape[0] == 24
+
+
+def test_general_enumeration_screens_every_row_choice(problems, monkeypatch):
+    # intro's rows are not a box: slogdet screens all C(5, 2) = 10 row choices.
+    calls = _count_linalg(monkeypatch)
+    problems["intro"].credal.extreme_points()
+    assert calls["slogdet"] == [10]

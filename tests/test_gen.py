@@ -25,7 +25,18 @@ def test_sample_simplex_flat_dirichlet_mean():
 
 
 def test_sample_simplex_deterministic():
-    assert np.array_equal(sample_simplex(3, 10, seed=9), sample_simplex(3, 10, seed=9))
+    # an int, a numpy int and a PCG64 Generator keyed alike give one stream
+    want = sample_simplex(3, 10, seed=9)
+    for seed in (9, np.int64(9), np.random.Generator(np.random.PCG64(9))):
+        assert np.array_equal(sample_simplex(3, 10, seed=seed), want)
+
+
+@pytest.mark.parametrize("seed", [2.5, "5"])
+def test_non_integer_seed_raises_type_error(seed):
+    with pytest.raises(TypeError):
+        sample_simplex(3, 2, seed=seed)
+    with pytest.raises(TypeError):
+        generate_instance(GenConfig(n_acts=3, n_states=2, n_vertices=2, seed=seed))
 
 
 def test_generate_instance_deterministic():
@@ -33,7 +44,7 @@ def test_generate_instance_deterministic():
     acts_a, credal_a = generate_instance(config)
     acts_b, credal_b = generate_instance(config)
     assert [a.payoffs for a in acts_a] == [a.payoffs for a in acts_b]
-    assert np.array_equal(credal_a.vertices, credal_b.vertices)
+    assert np.array_equal(credal_a.extreme_points(), credal_b.extreme_points())
 
 
 def test_generate_instance_hits_target():
@@ -48,7 +59,7 @@ def test_generate_instance_loose_target_first_try():
     config = GenConfig(n_acts=1, n_states=2, n_vertices=2, target_dm=1, seed=5)
     acts, credal = generate_instance(config)
     assert len(acts) == 1
-    assert credal.vertices.shape == (2, 2)
+    assert credal.extreme_points().shape == (2, 2)
 
 
 def test_generate_instance_payoff_range():
@@ -76,10 +87,10 @@ def test_generated_instance_serializes_to_problem_file():
     data = {
         "states": [f"w{i + 1}" for i in range(config.n_states)],
         "acts": [{"name": a.name, "payoffs": list(a.payoffs)} for a in acts],
-        "credal": {"vertices": credal.vertices.tolist()},
+        "credal": {"vertices": credal.extreme_points().tolist()},
     }
     loaded = problem_from_dict(data)
-    assert loaded.act_names == tuple(a.name for a in acts)
+    assert tuple(a.name for a in loaded.acts) == tuple(a.name for a in acts)
     direct = regret_matrix(acts, credal)
     again = loaded.regret_matrix()
     # loading renormalizes the vertices, so agreement is ulp-level, not bitwise
