@@ -250,51 +250,59 @@ def _cover_count(
     nodes_left[0]; the search raises GuardExceededError once the budget is
     spent.
     """
+    n = len(covers.masks)
+    allowed = ((1 << n) - 1) >> start << start
+    return _count_node(covers, nodes_left, covered, picks, cap, allowed, list(range(start, n)))
+
+
+def _count_node(
+    covers: CoverFamily,
+    nodes_left: list[int],
+    covered: int,
+    picks: int,
+    cap: int,
+    allowed: int,
+    pool: list[int],
+) -> int:
+    """One node of _cover_count; pool lists the allowed acts plus picked
+    ones, which gain nothing."""
+    nodes_left[0] -= 1
+    if nodes_left[0] < 0:
+        raise GuardExceededError(
+            f"maximin cover search exceeds the {MAXIMIN_MAX_NODES} node guard"
+        )
     masks, coverers = covers.masks, covers.coverers
     n = len(masks)
-    full = (1 << n) - 1
-    left = nodes_left[0]
-
-    def count(covered: int, picks: int, cap: int, allowed: int, pool: list[int]) -> int:
-        """pool lists the allowed acts plus picked ones, which gain nothing."""
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise GuardExceededError(
-                f"maximin cover search exceeds the {MAXIMIN_MAX_NODES} node guard"
-            )
-        missing = full & ~covered
-        if not missing:
-            return min(cap, math.comb(allowed.bit_count(), picks))
-        if picks == 1:
-            return min(cap, _completers(coverers, missing, allowed).bit_count())
-        needs = sorted(
-            [coverers[j] & allowed for j in range(n) if missing >> j & 1], key=int.bit_count
+    missing = ((1 << n) - 1) & ~covered
+    if not missing:
+        return min(cap, math.comb(allowed.bit_count(), picks))
+    if picks == 1:
+        return min(cap, _completers(coverers, missing, allowed).bit_count())
+    needs = sorted(
+        [coverers[j] & allowed for j in range(n) if missing >> j & 1], key=int.bit_count
+    )
+    # Acts whose allowed coverers are pairwise disjoint need a pick each.
+    packed, apart = 0, 0
+    for need in needs:
+        if not need & packed:
+            packed |= need
+            apart += 1
+            if apart > picks:
+                return 0
+    gains = [(masks[i] & missing).bit_count() for i in pool]
+    if sum(sorted(gains, reverse=True)[:picks]) < missing.bit_count():
+        return 0
+    options = needs[0]
+    total = 0
+    for _, i in sorted([(-g, i) for g, i in zip(gains, pool) if options >> i & 1]):
+        allowed &= ~(1 << i)
+        total += _count_node(
+            covers, nodes_left, covered | masks[i], picks - 1, cap - total, allowed, pool
         )
-        # Acts whose allowed coverers are pairwise disjoint need a pick each.
-        packed, apart = 0, 0
-        for need in needs:
-            if not need & packed:
-                packed |= need
-                apart += 1
-                if apart > picks:
-                    return 0
-        gains = [(masks[i] & missing).bit_count() for i in pool]
-        if sum(sorted(gains, reverse=True)[:picks]) < missing.bit_count():
-            return 0
-        options = needs[0]
-        total = 0
-        for _, i in sorted([(-g, i) for g, i in zip(gains, pool) if options >> i & 1]):
-            allowed &= ~(1 << i)
-            total += count(covered | masks[i], picks - 1, cap - total, allowed, pool)
-            if total >= cap:
-                return cap
-            pool = [p for p in pool if p != i]
-        return total
-
-    found = count(covered, picks, cap, full >> start << start, list(range(start, n)))
-    nodes_left[0] = left
-    return found
+        if total >= cap:
+            return cap
+        pool = [p for p in pool if p != i]
+    return total
 
 
 def _completers(coverers: tuple[int, ...], missing: int, allowed: int) -> int:

@@ -245,7 +245,7 @@ def _cmd_graph(args) -> int:
     matrix = load_problem(args.problem).regret_matrix()
     dot = domination_graph_dot(matrix, args.alpha)
     if args.output:
-        Path(args.output).write_text(dot)
+        Path(args.output).write_text(dot, encoding="utf-8")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(dot)
@@ -333,7 +333,7 @@ def _cmd_examples(args) -> int:
         dump_dir.mkdir(parents=True, exist_ok=True)
         for name, inst in instances.items():
             path = dump_dir / f"{name}.json"
-            path.write_text(json.dumps(inst.problem, indent=2) + "\n")
+            path.write_text(json.dumps(inst.problem, indent=2) + "\n", encoding="utf-8")
             print(f"wrote {path}")
     failed = False
     for name, inst in instances.items():

@@ -4,7 +4,8 @@ A credal set is a closed convex set of probability mass functions over a
 finite state space, given either as an explicit list of vertices or as linear
 constraints on the mass function (the simplex conditions are always implied).
 Upper expectations maximize a gamble's expectation over the set: a dot-product
-maximum in vertex form, a small dense LP in constraint form.
+maximum in vertex form, and in constraint form one small dense LP over the
+`<=` rows, then sum p = 1, with p >= 0 (`simplex.maximize`).
 """
 
 from __future__ import annotations
@@ -181,12 +182,7 @@ class CredalSet:
             )
         if self._vertices is not None:
             return float(np.max(self._vertices @ g))
-        ones = np.ones((1, self.dimension))
-        try:
-            value, _ = simplex.maximize(g, self._a_ub, self._b_ub, ones, np.array([1.0]))
-        except simplex.Unbounded as exc:  # compact region: cannot happen
-            raise RuntimeError("internal error: credal LP reported unbounded") from exc
-        return value
+        return simplex.maximize(g, self._a_ub, self._b_ub)
 
     def lower_expectation(self, gamble) -> float:
         """Minimum expectation, by duality the negated upper of the negation."""

@@ -164,7 +164,7 @@ def problem_from_dict(data: dict) -> Problem:
                 f"credal.constraints[{i}].coeffs",
             )
             relation = _require(entry, "relation", str, f"credal.constraints[{i}]")
-            rhs = entry.get("rhs")
+            rhs = _require(entry, "rhs", None, f"credal.constraints[{i}]")
             if not isinstance(rhs, (int, float)) or isinstance(rhs, bool):
                 raise ProblemFormatError(f"credal.constraints[{i}].rhs: expected a number")
             try:

@@ -1,14 +1,14 @@
-"""Dense two-phase simplex for the tiny LPs that arise from credal sets.
+"""Dense two-phase simplex for the one LP form that credal sets need.
 
-Problems here have a handful of variables (one per state) and a handful of
-rows, so a plain dense tableau with Bland's anti-cycling rule is both simple
-and robust. Variables are implicitly nonnegative. The tableau holds the `<=`
-then the `=` rows, each negated whole where its rhs is negative, over the
-variables, a slack per `<=` row, one block of artificials and the rhs. Each
-pivot is one masked numpy update of the whole tableau plus a ratio test over
-Python floats; it does the same element operations in the same order as a
-row-by-row loop, so values, points and pivot sequences are the loop's bit
-for bit.
+Each LP is an upper expectation: max g @ p over {A p <= b, sum p = 1,
+p >= 0}, with a handful of variables (one per state) and a handful of rows,
+so a plain dense tableau with Bland's anti-cycling rule is both simple and
+robust. The tableau holds the `<=` rows, each negated whole where its rhs
+is negative, then the row sum p = 1, over the variables, a slack per `<=`
+row, one block of artificials and the rhs. Each pivot is one masked numpy
+update of the whole tableau plus a ratio test over Python floats; it does
+the same element operations in the same order as a row-by-row loop, so
+values and pivot sequences are the loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ _MAX_PIVOTS = 10_000
 
 class Infeasible(Exception):
     """The constraint system admits no nonnegative solution."""
-
-
-class Unbounded(Exception):
-    """The objective is unbounded above on the feasible region."""
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -78,54 +74,43 @@ def _iterate(tableau: np.ndarray, basis: list[int]) -> None:
                     best_ratio = ratio
                     leaving = r
         if leaving < 0:
-            raise Unbounded("no leaving row for entering column %d" % entering)
+            # Over sum p = 1 every entering column meets a row in exact arithmetic.
+            raise RuntimeError("internal error: no leaving row for column %d" % entering)
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     raise GuardExceededError("simplex exceeds the %d LP pivot guard" % _MAX_PIVOTS)
 
 
-def maximize(
-    objective: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Maximize objective @ x subject to a_ub @ x <= b_ub, a_eq @ x = b_eq, x >= 0.
+def maximize(objective: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> float:
+    """Maximize objective @ p subject to a_ub @ p <= b_ub, sum p = 1, p >= 0.
 
-    Returns (optimal value, an optimal x). Raises Infeasible when the rows
-    admit no nonnegative solution, Unbounded when the maximum does not
-    exist, and GuardExceededError when a phase takes more than _MAX_PIVOTS
-    pivots; the credal-set polytopes this package builds are compact, so
-    Unbounded escaping this module signals a malformed caller.
+    Returns the optimal value. Raises Infeasible when no p meets the rows,
+    and GuardExceededError when a phase takes more than _MAX_PIVOTS pivots.
     """
     objective = np.asarray(objective, dtype=float).ravel()
     nvars = objective.size
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, nvars)
-    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, nvars)
     n_ub = len(a_ub)
-    m = n_ub + len(a_eq)
+    m = n_ub + 1
     b_ub = np.asarray(b_ub, dtype=float).reshape(n_ub)  # a length mismatch raises
-    b_eq = np.asarray(b_eq, dtype=float).reshape(len(a_eq))
 
-    # A row whose rhs is not >= 0 (NaN included) is negated whole, so a `<=`
-    # row's slack becomes its surplus; its zeros turn -0.0, and a zero's sign
-    # never reaches a value, a point or a pivot choice. Those `<=` rows and
-    # every `=` row get an artificial, in row order.
-    flipped = [r for r, b in enumerate(b_ub.tolist() + b_eq.tolist()) if not b >= 0]
-    art_rows = [r for r in flipped if r < n_ub] + list(range(n_ub, m))
+    # A `<=` row whose rhs is not >= 0 (NaN included) is negated whole, so
+    # its slack becomes its surplus; its zeros turn -0.0, and a zero's sign
+    # never reaches a value or a pivot choice. Those rows, then the sum row,
+    # get an artificial each.
+    flipped = [r for r, b in enumerate(b_ub.tolist()) if not b >= 0]
+    art_rows = flipped + [n_ub]
     art_start = nvars + n_ub
     ncols = art_start + len(art_rows)
 
     tableau = np.zeros((m + 1, ncols + 1))
     tableau[:n_ub, :nvars] = a_ub
     tableau[:n_ub, -1] = b_ub
-    tableau[n_ub:m, :nvars] = a_eq
-    tableau[n_ub:m, -1] = b_eq
+    tableau[n_ub, :nvars] = 1.0
+    tableau[n_ub, -1] = 1.0
     np.fill_diagonal(tableau[:n_ub, nvars:], 1.0)
     for r in flipped:
         np.negative(tableau[r], out=tableau[r])
-    np.abs(tableau[n_ub:m, -1], out=tableau[n_ub:m, -1])
     basis = list(range(nvars, nvars + m))  # slacks; artificial rows are reset below
     for col, r in enumerate(art_rows, art_start):
         tableau[r, col] = 1.0
@@ -133,23 +118,22 @@ def maximize(
 
     # Phase 1: maximize -(sum of artificials); reduced-cost row starts as
     # -(sum of the artificial rows) so basic columns read zero.
-    if art_rows:
-        for r in art_rows:
-            tableau[-1] -= tableau[r]
-        tableau[-1, art_start:-1] = 0.0
-        _iterate(tableau, basis)
-        if tableau[-1, -1] < -FEAS_TOL:
-            raise Infeasible("phase-1 optimum leaves infeasibility %g" % -tableau[-1, -1])
-        # Drive leftover artificials out of the basis; all-zero rows are
-        # redundant constraints and can be neutralized in place.
-        for r in range(m):
-            if basis[r] >= art_start:
-                for j, coef in enumerate(tableau[r, :art_start].tolist()):
-                    if abs(coef) > FEAS_TOL:
-                        _pivot(tableau, r, j)
-                        basis[r] = j
-                        break
-        tableau[:, art_start:-1] = 0.0
+    for r in art_rows:
+        tableau[-1] -= tableau[r]
+    tableau[-1, art_start:-1] = 0.0
+    _iterate(tableau, basis)
+    if tableau[-1, -1] < -FEAS_TOL:
+        raise Infeasible("phase-1 optimum leaves infeasibility %g" % -tableau[-1, -1])
+    # Drive leftover artificials out of the basis; all-zero rows are
+    # redundant constraints and can be neutralized in place.
+    for r in range(m):
+        if basis[r] >= art_start:
+            for j, coef in enumerate(tableau[r, :art_start].tolist()):
+                if abs(coef) > FEAS_TOL:
+                    _pivot(tableau, r, j)
+                    basis[r] = j
+                    break
+    tableau[:, art_start:-1] = 0.0
 
     # Phase 2: rebuild the reduced-cost row for the real objective.
     tableau[-1] = 0.0
@@ -159,9 +143,4 @@ def maximize(
         if basis[r] < nvars and costs[basis[r]] != 0.0:
             tableau[-1] += costs[basis[r]] * tableau[r]
     _iterate(tableau, basis)
-
-    x = np.zeros(nvars)
-    for r in range(m):
-        if basis[r] < nvars:
-            x[basis[r]] = tableau[r, -1]
-    return float(tableau[-1, -1]), x
+    return float(tableau[-1, -1])

@@ -12,8 +12,10 @@ per round. The dense simplex is its row-by-row pivot loop and ratio test
 over numpy scalars, as they stood before each pivot became one masked
 tableau update, and its standard form built from per-row lists of rows,
 rhs values and row kinds, as it stood before the tableau was written
-directly. The differential tests compare the library against them; do
-not change them to match the library.
+directly. It still solves the general LP, with any `=` rows, that the
+library's kernel took before it was fixed to the credal form; the tests
+give it sum p = 1 as its one `=` row. The differential tests compare the
+library against them; do not change them to match the library.
 
 The seeded branches of the minimax and greedy references state the seeded
 tie contract in plain per-row Python, and change only when that contract
@@ -32,7 +34,7 @@ import itertools
 import numpy as np
 
 from credalbudget.errors import GuardExceededError
-from credalbudget.simplex import Infeasible, Unbounded
+from credalbudget.simplex import Infeasible
 
 PMF_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-9
@@ -165,6 +167,10 @@ def regret_matrix_lp_reference(payoffs: np.ndarray, credal) -> np.ndarray:
 LP_FEAS_TOL = 1e-9
 LP_OPT_TOL = 1e-9
 LP_MAX_PIVOTS = 10_000
+
+
+class Unbounded(Exception):
+    """The objective is unbounded above on the feasible region."""
 
 
 def simplex_pivot_reference(tableau: np.ndarray, row: int, col: int) -> None:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import operator
 import tracemalloc
@@ -289,6 +290,23 @@ def test_level_probe_spends_the_shared_node_budget():
     assert _cover_count(covers, 5, 1, [used]) == 0
     with pytest.raises(GuardExceededError, match="node guard"):
         _cover_count(covers, 5, 1, [used - 1])
+
+
+def test_cover_search_leaves_no_garbage_cycles():
+    # A recursion that refers to itself through a closure cell would leave
+    # one reference cycle per call for the garbage collector to find.
+    entries = np.random.default_rng(0).uniform(0, 1, (20, 20))
+    matrix = RegretMatrix(tuple(f"a{i}" for i in range(20)), entries)
+    covers = cover_family(matrix, float(np.median(matrix.off_diagonal_values())))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            _cover_count(covers, 5, 1, [MAXIMIN_MAX_NODES])
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_maximin_bisection_fits_a_small_node_budget(monkeypatch):

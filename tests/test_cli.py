@@ -1,12 +1,17 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import credalbudget
 from credalbudget.bench import consistency_aggregate, negativity_aggregate, read_csv, write_csv
 from credalbudget.cli import main
 from credalbudget.instances import builtin_instances
@@ -687,6 +692,38 @@ def test_bad_matrix_act_names_exit_one(capsys, tmp_path, suffix, text, message):
     )
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("key", ["coeffs", "relation", "rhs"])
+def test_constraint_without_a_key_exits_one(capsys, tmp_path, key):
+    row = {"coeffs": [1, 0], "relation": "<=", "rhs": 0.7}
+    del row[key]
+    path = tmp_path / "rows.json"
+    path.write_text(
+        "{" + _STATES_ACTS + ', "credal": {"constraints": [' + json.dumps(row) + "]}}"
+    )
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path), "--k", "1")
+    assert (code, out) == (1, "")
+    assert f"credal.constraints[0].{key}: missing" in err
+
+
+def test_graph_output_is_utf8_under_an_ascii_locale(tmp_path):
+    problem = tmp_path / "names.json"
+    problem.write_text(json.dumps({
+        "states": ["w1", "w2"],
+        "acts": [{"name": "caf\u00e9", "payoffs": [1, 2]}, {"name": "b", "payoffs": [2, 1]}],
+        "credal": {"vertices": [[0.5, 0.5]]},
+    }), encoding="utf-8")
+    target = tmp_path / "out.dot"
+    src = str(Path(credalbudget.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "credalbudget.cli", "graph",
+         "--problem", str(problem), "--alpha", "10", "--output", str(target)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"caf\u00e9"' in target.read_bytes().decode("utf-8")
 
 
 @pytest.mark.parametrize("suffix", [".json", ".csv"])

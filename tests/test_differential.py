@@ -4,8 +4,8 @@ Subsets, values (by repr, so a signed zero counts), the vertex-form matrix
 bytes and the enumerated vertex bytes must match exactly, ties included.
 Constraint-form matrices, which now come from the enumerated vertices rather
 than from one LP per pair, must match the LP loop within 1e-9. The simplex
-must match its row-by-row kernel bit for bit: value, point, pivot sequence
-and exception type.
+must match its row-by-row kernel bit for bit on the credal LP: value,
+pivot sequence and exception type.
 """
 
 import collections
@@ -694,32 +694,57 @@ def test_constraint_build_memory_is_chunked(problems):
     assert peak < 256 * 2**10  # all 1365 bases in one batch would peak near 530 KiB
 
 
-def solve_recorded(monkeypatch, owner, pivot_name: str, solve, lp: tuple):
-    """(outcome, pivots) of one LP, with every (row, col) pivot recorded in order.
+def solve_recorded(monkeypatch, owner, names: tuple[str, str], solve, lp: tuple):
+    """(outcome, steps) of one LP: every (row, col) pivot in order, with "("
+    and ")" around each run of the pivot loop, so the pivots outside them
+    are the drive-out's.
 
-    The outcome is the value's repr and the point's bytes, or the type of the
-    exception the solve raised.
+    The outcome is the value's repr, or the type of the exception the solve
+    raised.
     """
-    pivots: list[tuple[int, int]] = []
-    inner = getattr(owner, pivot_name)
+    steps: list = []
+    pivot_name, iterate_name = names
+    pivot, iterate = getattr(owner, pivot_name), getattr(owner, iterate_name)
 
     def recording(tableau, row, col):
-        pivots.append((row, col))
-        inner(tableau, row, col)
+        steps.append((row, col))
+        pivot(tableau, row, col)
+
+    def phase(*args):
+        steps.append("(")
+        iterate(*args)
+        steps.append(")")
 
     with monkeypatch.context() as patch:
         patch.setattr(owner, pivot_name, recording)
+        patch.setattr(owner, iterate_name, phase)
         try:
-            value, x = solve(*lp)
-        except (simplex.Infeasible, simplex.Unbounded, GuardExceededError) as exc:
-            return type(exc), pivots
-    return (repr(value), x.tobytes()), pivots
+            value = solve(*lp)
+        except (simplex.Infeasible, GuardExceededError) as exc:
+            return type(exc), steps
+    return repr(value), steps
+
+
+def drive_out_pivots(steps: list) -> list[tuple[int, int]]:
+    """The pivots that `solve_recorded` saw outside the pivot loop."""
+    inside, found = False, []
+    for step in steps:
+        if step in ("(", ")"):
+            inside = step == "("
+        elif not inside:
+            found.append(step)
+    return found
 
 
 def credal_lp(gamble, a_ub, b_ub) -> tuple:
-    """The LP of one upper expectation: rows a_ub p <= b_ub and sum p = 1."""
+    """The general LP of one upper expectation: rows a_ub p <= b_ub, then sum p = 1."""
     d = len(gamble)
     return (np.asarray(gamble, float), a_ub, b_ub, np.ones((1, d)), np.array([1.0]))
+
+
+def reference_maximize(gamble, a_ub, b_ub) -> float:
+    """The frozen row-loop kernel's value for the credal LP."""
+    return simplex_maximize_reference(*credal_lp(gamble, a_ub, b_ub))[0]
 
 
 def interval_lp(rng: np.random.Generator, d: int) -> tuple:
@@ -729,7 +754,7 @@ def interval_lp(rng: np.random.Generator, d: int) -> tuple:
     a_ub = np.vstack([np.eye(d), -np.eye(d) + 0.0])
     b_ub = np.concatenate([highs, -lows])
     payoffs = rng.integers(0, 101, size=(2, d)).astype(float)
-    return credal_lp(payoffs[1] - payoffs[0], a_ub, b_ub)
+    return (payoffs[1] - payoffs[0], a_ub, b_ub)
 
 
 def benchmark_interval_lp(rng: np.random.Generator) -> tuple:
@@ -737,21 +762,16 @@ def benchmark_interval_lp(rng: np.random.Generator) -> tuple:
     a_ub = np.vstack([np.eye(14), -np.eye(14) + 0.0])
     b_ub = np.concatenate([np.full(14, 0.15), np.full(14, -0.02)])
     payoffs = rng.integers(0, 101, size=(2, 14)).astype(float)
-    return credal_lp(payoffs[1] - payoffs[0], a_ub, b_ub)
+    return (payoffs[1] - payoffs[0], a_ub, b_ub)
 
 
 def unit_rows_lp(rng: np.random.Generator) -> tuple:
-    """Random unit-scaled rows plus `=` rows; without sum p = 1 some are unbounded."""
+    """Random unit-scaled rows whose rhs takes either sign."""
     d = int(rng.integers(2, 11))
     a_ub = rng.normal(size=(int(rng.integers(1, 9)), d))
     a_ub /= np.abs(a_ub).max(axis=1, keepdims=True)
     b_ub = rng.normal(0.2, 0.5, size=len(a_ub))
-    a_eq = rng.normal(size=(int(rng.integers(0, 3)), d))
-    a_eq /= np.abs(a_eq).max(axis=1, keepdims=True, initial=0.0)
-    b_eq = rng.normal(0.3, 0.3, size=len(a_eq))
-    if rng.random() < 0.7:
-        a_eq, b_eq = np.vstack([np.ones((1, d)), a_eq]), np.concatenate([[1.0], b_eq])
-    return (rng.normal(size=d), a_ub, b_ub, a_eq, b_eq)
+    return (rng.normal(size=d), a_ub, b_ub)
 
 
 def integer_lp(rng: np.random.Generator) -> tuple:
@@ -759,9 +779,7 @@ def integer_lp(rng: np.random.Generator) -> tuple:
     d = int(rng.integers(2, 8))
     a_ub = rng.integers(-3, 4, size=(int(rng.integers(1, 8)), d)).astype(float)
     b_ub = rng.integers(-2, 6, size=len(a_ub)).astype(float)
-    a_eq = rng.integers(-2, 3, size=(int(rng.integers(0, 3)), d)).astype(float)
-    b_eq = rng.integers(-1, 4, size=len(a_eq)).astype(float)
-    return (rng.integers(-4, 5, size=d).astype(float), a_ub, b_ub, a_eq, b_eq)
+    return (rng.integers(-4, 5, size=d).astype(float), a_ub, b_ub)
 
 
 def infeasible_lp(rng: np.random.Generator) -> tuple:
@@ -769,20 +787,20 @@ def infeasible_lp(rng: np.random.Generator) -> tuple:
     d = int(rng.integers(2, 15))
     if rng.random() < 0.5:
         lows = rng.uniform(1.0 / d, 2.0 / d, size=d) + 0.01 / d
-        return credal_lp(rng.normal(size=d), -np.eye(d) + 0.0, -lows)
+        return (rng.normal(size=d), -np.eye(d) + 0.0, -lows)
     row = rng.normal(size=d)
     row /= np.abs(row).max()
     a_ub = np.vstack([row, -row])
-    return credal_lp(rng.normal(size=d), a_ub, np.array([-0.5, 0.25]))
+    return (rng.normal(size=d), a_ub, np.array([-0.5, 0.25]))
 
 
 def edge_rows_lp(rng: np.random.Generator) -> tuple:
     """Rows at the edges of the tableau layout, where rows are negated whole.
 
     `<=` rows with rhs +0.0, -0.0, ±inf and NaN, plus an explicit p_s >= 0,
-    which arrives as -p_s <= -0.0; `=` rows with rhs -0.0 or negative; and
-    one duplicated `=` row, which leaves an artificial basic after phase 1
-    and so takes the drive-out path.
+    which arrives as -p_s <= -0.0; then p_s >= 1/2, p_t >= 1/2 and their
+    redundant sum p_s + p_t >= 1, which can leave an artificial basic after
+    phase 1 and so take the drive-out path.
     """
     d = int(rng.integers(2, 7))
     a_ub = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(float)
@@ -792,12 +810,11 @@ def edge_rows_lp(rng: np.random.Generator) -> tuple:
     )
     a_ub = np.vstack([a_ub, -np.eye(d)[int(rng.integers(d))]])
     b_ub = np.append(b_ub, -0.0)
-    a_eq = rng.integers(-1, 2, size=(int(rng.integers(0, 2)), d)).astype(float)
-    b_eq = rng.choice([0.0, -0.0, -1.0], size=len(a_eq))
-    a_eq, b_eq = np.vstack([np.ones((1, d)), a_eq]), np.concatenate([[1.0], b_eq])
-    twin = int(rng.integers(len(a_eq)))
-    a_eq, b_eq = np.vstack([a_eq, a_eq[twin]]), np.append(b_eq, b_eq[twin])
-    return (rng.integers(-3, 4, size=d).astype(float), a_ub, b_ub, a_eq, b_eq)
+    s, t = rng.choice(d, size=2, replace=False)
+    halves = -np.eye(d)[[s, t]] + 0.0
+    a_ub = np.vstack([a_ub, halves, halves.sum(axis=0)])
+    b_ub = np.append(b_ub, [-0.5, -0.5, -1.0])
+    return (rng.integers(-3, 4, size=d).astype(float), a_ub, b_ub)
 
 
 LP_KINDS = {
@@ -811,16 +828,18 @@ LP_KINDS = {
 
 
 def assert_kernels_agree(monkeypatch, lps) -> collections.Counter:
-    """Each LP solved by both kernels gives identical outcomes; returns outcome kinds."""
+    """Each LP solved by both kernels gives identical outcomes; returns outcome
+    kinds, and under "drive-out" the number of LPs whose drive-out pivoted."""
     kinds: collections.Counter = collections.Counter()
     for lp in lps:
-        got = solve_recorded(monkeypatch, simplex, "_pivot", simplex.maximize, lp)
+        got = solve_recorded(monkeypatch, simplex, ("_pivot", "_iterate"), simplex.maximize, lp)
         want = solve_recorded(
-            monkeypatch, reference_solvers, "simplex_pivot_reference",
-            simplex_maximize_reference, lp,
+            monkeypatch, reference_solvers,
+            ("simplex_pivot_reference", "simplex_iterate_reference"), reference_maximize, lp,
         )
         assert got == want
         kinds[want[0].__name__ if isinstance(want[0], type) else "optimal"] += 1
+        kinds["drive-out"] += bool(drive_out_pivots(want[1]))
     return kinds
 
 
@@ -835,12 +854,14 @@ def test_simplex_matches_row_loop_kernel(monkeypatch, kind):
     expected = {
         "interval": {"optimal", "Infeasible"},
         "benchmark-interval": {"optimal"},
-        "unit-rows": {"optimal", "Infeasible", "Unbounded"},
-        "integer": {"optimal", "Infeasible", "Unbounded"},
+        "unit-rows": {"optimal", "Infeasible"},
+        "integer": {"optimal", "Infeasible"},
         "infeasible": {"Infeasible"},
         "edge-rows": {"optimal", "Infeasible"},
     }[kind]
-    assert set(kinds) == expected
+    assert set(kinds) - {"drive-out"} == expected
+    if kind == "edge-rows":
+        assert kinds["drive-out"] > 0
 
 
 def test_simplex_matches_row_loop_kernel_on_infinite_gambles(monkeypatch):
@@ -859,15 +880,23 @@ def test_simplex_matches_row_loop_kernel_on_infinite_gambles(monkeypatch):
 
 def test_simplex_pivot_warns_no_more_than_the_row_loop():
     # The masked pivot never multiplies a row whose factor is zero, so an
-    # infinite pivot row gives no 0 * inf there.
+    # infinite pivot row gives no 0 * inf there. Over sum p = 1 no pivot row
+    # is infinite, so the pivot is checked on its own: x_0 <= inf is the
+    # pivot row of max x_0 subject to it and x_1 <= 1.
     rows, d = box_cases()["rhs-overflows"]
-    lp = (np.array([1.0, 0.0]), np.eye(2), np.array([np.inf, 1.0]), np.zeros((0, 2)), np.zeros(0))
+    tableau = np.array(
+        [[1.0, 0.0, 1.0, 0.0, np.inf], [0.0, 1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0, 0.0]]
+    )
+    want = tableau.copy()
+    gamble = np.array([1.0, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         credal = CredalSet.from_constraints(rows, d)
-        value, x = simplex.maximize(*lp)
-        assert credal.upper_expectation(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.8)
+        value = credal.upper_expectation(gamble)
+        simplex._pivot(tableau, 0, 0)
+        reference_solvers.simplex_pivot_reference(want, 0, 0)
     assert np.isinf(credal._b_ub).any()
-    assert (value, x.tolist()) == (np.inf, [np.inf, 0.0])  # the x_0 <= inf row was the pivot row
-    want_value, want_x = simplex_maximize_reference(*lp)
-    assert (repr(value), x.tobytes()) == (repr(want_value), want_x.tobytes())
+    assert value == pytest.approx(0.8)
+    assert repr(value) == repr(reference_maximize(gamble, credal._a_ub, credal._b_ub))
+    assert tableau.tobytes() == want.tobytes()
+    assert tableau[-1].tolist() == [0.0, 0.0, 1.0, 0.0, np.inf]

@@ -1,6 +1,9 @@
 """Repository tooling: the pytest configuration reports a failing property
-test as one failure, and the README's examples run as shown."""
+test as one failure, the README's examples run as shown, and the runtime
+needs no package but numpy."""
 
+import json
+import os
 import re
 import shlex
 import subprocess
@@ -73,3 +76,39 @@ def test_readme_quick_start_outputs_match(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == want + "\n", command
         checked += 1
     assert checked == 3
+
+
+NUMPY_ONLY = """
+import sys
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "hypothesis", "pytest"):
+            raise ModuleNotFoundError(f"{name}: not a runtime dependency")
+        return None
+
+
+sys.meta_path.insert(0, Refuse())
+from credalbudget import cli
+
+codes = [cli.main(["examples"]), cli.main(["solve", "--problem", sys.argv[1], "--k", "1"])]
+print(codes)
+"""
+
+
+def test_runtime_needs_only_numpy(tmp_path):
+    # scipy is a test extra: the CLI runs with scipy, hypothesis and pytest refused
+    problem = tmp_path / "rows.json"
+    problem.write_text(json.dumps({
+        "states": ["s", "t", "u"],
+        "acts": [{"name": "a", "payoffs": [1, 2, 0]}, {"name": "b", "payoffs": [2, 0, 1]}],
+        "credal": {"constraints": [{"coeffs": [1, 0, 0], "relation": ">=", "rhs": 0.2}]},
+    }))
+    env = {**os.environ, "PYTHONPATH": str(Path(credalbudget.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, str(problem)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0]"
