@@ -19,7 +19,7 @@ from .budget import (
     solve_maximin,
     solve_minimax,
 )
-from .credal import Act, CredalSet, LinearConstraint, StateSpace
+from .credal import Act, CredalSet, LinearConstraint
 from .errors import GuardExceededError, InfeasibleCredalError, ProblemFormatError
 from .gen import GenConfig, generate_instance, sample_simplex
 from .problemio import Problem, load_problem, problem_from_dict
@@ -48,7 +48,6 @@ __all__ = [
     "Problem",
     "ProblemFormatError",
     "RegretMatrix",
-    "StateSpace",
     "budgeted_rule",
     "cover_family",
     "domination_graph_dot",

@@ -24,12 +24,10 @@ import numpy as np
 
 from .budget import Criterion, solve_greedy, solve_maximin, solve_minimax
 from .gen import GenConfig, generate_instance
-from .regret import maximal_acts, regret_matrix
+from .regret import VALUE_TOL, maximal_acts, regret_matrix
 
 RULES = ("exact_minimax", "greedy_minimax", "exact_maximin", "greedy_maximin")
 PAIRS = ("minimax", "maximin")
-
-VALUE_EQ_TOL = 1e-9
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
@@ -41,7 +39,7 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 def _values_equal(a: float, b: float) -> bool:
     if a == b:  # covers the two -inf sentinels
         return True
-    return abs(a - b) <= VALUE_EQ_TOL
+    return abs(a - b) <= VALUE_TOL
 
 
 def _frac(part: int, whole: int) -> float:

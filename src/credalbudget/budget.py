@@ -208,14 +208,11 @@ def _greedy_cover(covers: CoverFamily, k: int) -> tuple[int, ...] | None:
     covered = 0
     chosen: list[int] = []
     for _ in range(k):
-        # A chosen act gains nothing more, and a zero best gain ends the pass,
-        # so no act is chosen twice. index() finds the lowest act at the best gain.
+        # Each act covers itself, so while one is missing the best gain (its lowest act by
+        # index()) is at least 1 and unchosen; without self bits the pass returns None.
         missing = full & ~covered
         gains = [(m & missing).bit_count() for m in masks]
-        best = max(gains)
-        if best == 0:
-            break
-        i = gains.index(best)
+        i = gains.index(max(gains))
         chosen.append(i)
         covered |= masks[i]
         if covered == full:

@@ -44,6 +44,15 @@ EXIT_MALFORMED = 1
 EXIT_INFEASIBLE = 2
 EXIT_GUARD = 3
 
+# flags that only one experiment protocol reads: flag -> (protocol, default)
+_PROTOCOL_FLAGS = {
+    "--target-dm": ("consistency", 6),
+    "--k-min": ("consistency", 2),
+    "--k-max": ("consistency", 6),
+    "--dm-sizes": ("negativity", "2,5,10"),
+    "--offsets": ("negativity", "0,1,2,3"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are malformed input: exit 1
@@ -184,11 +193,11 @@ def build_parser() -> _Parser:
     exp.add_argument("--acts", type=int, default=20)
     exp.add_argument("--states", type=int, default=5)
     exp.add_argument("--vertices", type=int, default=20)
-    exp.add_argument("--target-dm", type=int, default=6, help="consistency protocol only")
-    exp.add_argument("--k-min", type=int, default=2, help="consistency protocol only")
-    exp.add_argument("--k-max", type=int, default=6, help="consistency protocol only")
-    exp.add_argument("--dm-sizes", default="2,5,10", help="negativity protocol only")
-    exp.add_argument("--offsets", default="0,1,2,3", help="negativity protocol only")
+    for flag, (protocol, default) in _PROTOCOL_FLAGS.items():
+        exp.add_argument(
+            flag, type=type(default), default=None,
+            help=f"{protocol} protocol only (default {default})",
+        )
 
     examples = command("examples", _cmd_examples, "verify bundled instances")
     examples.add_argument("--only", default=None, help="verify a single instance")
@@ -264,6 +273,12 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
+    for flag, (protocol, default) in _PROTOCOL_FLAGS.items():
+        name = flag[2:].replace("-", "_")
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif protocol != args.protocol:  # given, but the other protocol would ignore it
+            raise ProblemFormatError(f"{flag}: {protocol} protocol only")
     for name in ("trials", "acts", "states", "vertices"):
         value = getattr(args, name)
         if value is not None and value < 1:

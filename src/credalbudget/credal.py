@@ -20,7 +20,6 @@ from . import simplex
 from .errors import GuardExceededError, InfeasibleCredalError
 
 PMF_TOL = 1e-9
-VERTEX_DEDUP_TOL = 1e-9
 ENUM_MAX_DIM = 12
 ENUM_MAX_BASES = 20_000  # C(rows + dimension, dimension - 1) row choices to solve
 ENUM_CHUNK = 256  # row choices per batch: temporaries near 100 KiB at dimension 5
@@ -31,25 +30,6 @@ ENUM_CHUNK = 256  # row choices per batch: temporaries near 100 KiB at dimension
 BOX_MARGIN = 1e-5
 
 RELATIONS = ("<=", ">=", "=")
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Ordered, uniquely-labelled finite set of states."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) == 0:
-            raise ValueError("states: at least one state label is required")
-        if any(not lbl for lbl in self.labels):
-            raise ValueError("states: labels must be nonempty strings")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("states: labels must be unique")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -245,18 +225,17 @@ class CredalSet:
             systems, targets, points = systems[finite], targets[finite], points[finite]
             solved = np.abs((systems @ points[..., None])[..., 0] - targets).max(axis=1)
             keep = solved <= 1e-7  # a larger residual means an ill-conditioned basis
-            keep &= points.min(axis=1) >= -PMF_TOL
-            keep &= (points @ self._a_ub.T - self._b_ub).max(axis=1, initial=-np.inf) <= PMF_TOL
+            keep &= (points @ rows.T - rhs).max(axis=1) <= PMF_TOL
             points = points[keep]
             # State axis outermost: each max reduces whole (points, ...) planes
             # rather than a short inner axis of a few states; same bytes. The
             # copies are C-ordered, which by_state[:, mask] would not be.
             by_state = points.T.copy()
             gaps = np.abs(by_state[:, :, None] - found.T[:, None, :]).max(axis=0)
-            points = points[(gaps > VERTEX_DEDUP_TOL).all(axis=1)]  # gaps: (points, found)
+            points = points[(gaps > PMF_TOL).all(axis=1)]  # gaps: (points, found)
             by_state = points.T.copy()
             near = np.abs(by_state[:, :, None] - by_state[:, None, :]).max(axis=0)
-            near = (near <= VERTEX_DEDUP_TOL).tolist()
+            near = (near <= PMF_TOL).tolist()
             fresh: list[int] = []
             for i in range(len(points)):  # in basis order, so the first of near-duplicates stays
                 if not any(near[i][j] for j in fresh):

@@ -18,9 +18,7 @@ import numpy as np
 
 from .budget import Criterion, oracle_solve, solve_maximin, solve_minimax
 from .problemio import problem_from_dict
-from .regret import maximal_acts
-
-VALUE_TOL = 1e-9
+from .regret import VALUE_TOL, maximal_acts
 
 
 @dataclass(frozen=True)

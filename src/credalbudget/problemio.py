@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .credal import Act, CredalSet, LinearConstraint, StateSpace
+from .credal import Act, CredalSet, LinearConstraint
 from .errors import ProblemFormatError
 from .regret import RegretMatrix, matrix_from_csv, regret_matrix
 
@@ -70,8 +70,8 @@ def _numeric_vector(values, length: int | None, where: str) -> tuple[float, ...]
     return floats
 
 
-def _check_act_names(names, where: str) -> None:
-    """Act names must be nonempty (an empty one prints like an empty subset) and unique."""
+def _check_names(names, where: str) -> None:
+    """Names must be nonempty (an empty act name prints like an empty subset) and unique."""
     if not all(names):
         raise ProblemFormatError(f"{where}: names must be nonempty")
     if len(set(names)) != len(names):
@@ -101,17 +101,16 @@ def problem_from_dict(data: dict) -> Problem:
             raise ProblemFormatError("acts: with a matrix, acts must be a list of names")
         if len(names) != n:
             raise ProblemFormatError(f"acts: expected {n} names, got {len(names)}")
-        _check_act_names(names, "acts")
+        _check_names(names, "acts")
         return Problem(None, None, RegretMatrix(tuple(names), entries))
 
     _reject_unknown(data, ("states", "acts", "credal"), "")
     labels = _require(data, "states", list, "problem")
+    if not labels:
+        raise ProblemFormatError("states: at least one state label is required")
     if not all(isinstance(s, str) for s in labels):
         raise ProblemFormatError("states: expected a list of strings")
-    try:
-        states = StateSpace(tuple(labels))
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    _check_names(labels, "states")
 
     raw_acts = _require(data, "acts", list, "problem")
     if not raw_acts:
@@ -123,13 +122,13 @@ def problem_from_dict(data: dict) -> Problem:
         _reject_unknown(entry, ("name", "payoffs"), f"acts[{idx}].")
         name = _require(entry, "name", str, f"acts[{idx}]")
         payoffs = _numeric_vector(
-            _require(entry, "payoffs", list, f"acts[{idx}]"), states.size, f"acts[{idx}].payoffs"
+            _require(entry, "payoffs", list, f"acts[{idx}]"), len(labels), f"acts[{idx}].payoffs"
         )
         try:
             acts.append(Act(name, payoffs))
         except ValueError as exc:
             raise ProblemFormatError(f"acts[{idx}]: {exc}") from exc
-    _check_act_names([a.name for a in acts], "acts")
+    _check_names([a.name for a in acts], "acts")
 
     raw_credal = _require(data, "credal", dict, "problem")
     _reject_unknown(raw_credal, ("vertices", "constraints"), "credal.")
@@ -142,7 +141,7 @@ def problem_from_dict(data: dict) -> Problem:
         if not isinstance(raw_vertices, list) or not raw_vertices:
             raise ProblemFormatError("credal.vertices: expected a nonempty list")
         vertices = [
-            _numeric_vector(v, states.size, f"credal.vertices[{i}]")
+            _numeric_vector(v, len(labels), f"credal.vertices[{i}]")
             for i, v in enumerate(raw_vertices)
         ]
         try:
@@ -160,7 +159,7 @@ def problem_from_dict(data: dict) -> Problem:
             _reject_unknown(entry, ("coeffs", "relation", "rhs"), f"credal.constraints[{i}].")
             coeffs = _numeric_vector(
                 _require(entry, "coeffs", list, f"credal.constraints[{i}]"),
-                states.size,
+                len(labels),
                 f"credal.constraints[{i}].coeffs",
             )
             relation = _require(entry, "relation", str, f"credal.constraints[{i}]")
@@ -171,7 +170,7 @@ def problem_from_dict(data: dict) -> Problem:
                 rows.append(LinearConstraint(coeffs, relation, float(rhs)))
             except (ValueError, OverflowError) as exc:
                 raise ProblemFormatError(f"credal.constraints[{i}]: {exc}") from exc
-        credal = CredalSet.from_constraints(rows, states.size)  # raises InfeasibleCredalError
+        credal = CredalSet.from_constraints(rows, len(labels))  # raises InfeasibleCredalError
 
     return Problem(tuple(acts), credal, None)
 
@@ -180,7 +179,7 @@ def load_problem(path) -> Problem:
     """Load a problem from a JSON file or a matrix-CSV file."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"problem file {p}: {exc}") from exc
     if p.suffix.lower() == ".csv":
@@ -188,11 +187,11 @@ def load_problem(path) -> Problem:
             matrix = matrix_from_csv(text)
         except ValueError as exc:
             raise ProblemFormatError(f"problem file {p}: {exc}") from exc
-        _check_act_names(matrix.names, f"problem file {p}: matrix csv header")
+        _check_names(matrix.names, f"problem file {p}: matrix csv header")
         return Problem(None, None, matrix)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ProblemFormatError(f"problem file {p}: invalid JSON ({exc})") from exc
     return problem_from_dict(data)
 

@@ -21,7 +21,7 @@ from .errors import GuardExceededError
 
 NEG_INFINITY = float("-inf")
 
-MAXIMALITY_TOL = 1e-9
+VALUE_TOL = 1e-9  # two regret values closer than this agree up to LP rounding
 
 REGRET_BLOCK_FLOATS = 2**17  # one float64 temporary of 1 MiB per block of output rows
 
@@ -184,14 +184,14 @@ def maximal_acts(matrix: RegretMatrix) -> tuple[int, ...]:
     """Acts not strictly dominated by any other act.
 
     Act i stays when every challenger j satisfies upper expectation of
-    (payoff_i - payoff_j) >= -MAXIMALITY_TOL, i.e. no j makes the lower
+    (payoff_i - payoff_j) >= -VALUE_TOL, i.e. no j makes the lower
     expectation of (payoff_j - payoff_i) positive. The slack absorbs
     LP rounding so a genuinely maximal act is never dropped. Never empty.
     """
     shielded = matrix.entries.copy()
     np.fill_diagonal(shielded, np.inf)
     # column i of entries collects the upper expectations of (payoff_i - payoff_j)
-    keep = shielded.min(axis=0) >= -MAXIMALITY_TOL
+    keep = shielded.min(axis=0) >= -VALUE_TOL
     return tuple(int(i) for i in np.flatnonzero(keep))
 
 

@@ -102,6 +102,12 @@ def test_bad_experiment_flags_exit_one(capsys, tmp_path):
         (["--protocol", "negativity", "--dm-sizes", "2,,5"], "--dm-sizes"),
         (["--protocol", "negativity", "--dm-sizes", "2,"], "--dm-sizes"),
         (["--protocol", "negativity", "--dm-sizes", "2", "--offsets", ",2"], "--offsets"),
+        # a flag that only the other protocol reads is refused, not ignored
+        (["--protocol", "negativity", "--target-dm", "99"], "--target-dm"),
+        (["--protocol", "negativity", "--k-min", "4"], "--k-min"),
+        (["--protocol", "negativity", "--k-max", "2"], "--k-max"),
+        (["--protocol", "consistency", "--dm-sizes", "3"], "--dm-sizes"),
+        (["--protocol", "consistency", "--offsets", "9"], "--offsets"),
     ],
 )
 def test_experiment_flags_checked_before_trials(capsys, monkeypatch, tmp_path, flags, flag):
@@ -677,11 +683,92 @@ _STATES_ACTS = '"states": ["s", "t"], "acts": [{"name": "a", "payoffs": [1, 2]}]
             "{" + _STATES_ACTS + ', "credal": {"vertices": [[0.5, 0.5]]}, "matrixx": []}',
             "matrixx: unknown key",
         ),
+        # each remaining refusal of a malformed problem file, in the order they are checked
+        (".json", "[1, 2]", "problem: top level must be an object"),
+        (".json", '{"states": "s", "acts": [], "credal": {}}', "problem.states: wrong type str"),
+        (".json", '{"matrix": []}', "matrix: expected a nonempty list of rows"),
+        (".json", '{"matrix": [1, 2]}', "matrix[0]: expected a list of numbers"),
+        (".json", '{"matrix": [[0, 1], [1]]}', "matrix[1]: expected 2 numbers, got 1"),
+        (
+            ".json",
+            '{"matrix": [[0, 1], [1, 0]], "acts": "ab"}',
+            "acts: with a matrix, acts must be a list of names",
+        ),
+        (".json", '{"matrix": [[0, 1], [1, 0]], "acts": ["a"]}', "acts: expected 2 names, got 1"),
+        (
+            ".json",
+            '{"states": ["s", 1], "acts": [], "credal": {}}',
+            "states: expected a list of strings",
+        ),
+        (
+            ".json",
+            '{"states": [], "acts": [], "credal": {}}',
+            "states: at least one state label is required",
+        ),
+        (".json", '{"states": ["s", ""], "acts": [], "credal": {}}', "states: names must be nonempty"),
+        (".json", '{"states": ["s", "s"], "acts": [], "credal": {}}', "states: names must be unique"),
+        (
+            ".json",
+            '{"states": ["s", "t"], "acts": [1], "credal": {}}',
+            "acts[0]: expected an object",
+        ),
+        (
+            ".json",
+            '{"states": ["s", "t"], "acts": [{"name": "", "payoffs": [1, 2]}], "credal": {}}',
+            "acts[0]: act.name: must be a nonempty string",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {}}',
+            "credal: give exactly one of 'vertices' or 'constraints'",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"vertices": []}}',
+            "credal.vertices: expected a nonempty list",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"vertices": [[-0.5, 1.5]]}}',
+            "credal.vertices[0]: negative probability mass",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"constraints": {}}}',
+            "credal.constraints: expected a list",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"constraints": [1]}}',
+            "credal.constraints[0]: expected an object",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"constraints":'
+            ' [{"coeffs": [1, 0], "relation": "<=", "rhs": "x"}]}}',
+            "credal.constraints[0].rhs: expected a number",
+        ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"constraints":'
+            ' [{"coeffs": [1, 0], "relation": "<", "rhs": 0.5}]}}',
+            "credal.constraints[0]: constraint.relation: expected one of ('<=', '>=', '=')",
+        ),
+        (".csv", ",a\n", "matrix csv: expected a header row and one row per act"),
+        (".csv", ",a,b\na,,1\nb,1\n", "matrix csv row 2: expected 3 cells"),
+        (".csv", ",a,b\na,,\nb,1,\n", "matrix csv row 1: empty off-diagonal cell"),
     ],
     ids=[
         "csv-duplicate", "csv-empty", "json-empty", "json-duplicate", "json-states", "json-credal",
         "unknown-top-act", "unknown-act-payof", "unknown-credal-constraints_",
         "unknown-constraint-rhs2", "unknown-top-matrixx",
+        "top-level-list", "states-not-list", "matrix-empty", "matrix-row-not-list",
+        "matrix-row-short", "matrix-acts-not-list", "matrix-acts-short",
+        "states-not-strings", "states-empty-list", "states-empty-name", "states-duplicate",
+        "act-not-object", "act-empty-name", "credal-neither", "vertices-empty",
+        "vertex-negative", "constraints-not-list", "constraint-not-object",
+        "constraint-rhs-not-number", "constraint-bad-relation",
+        "csv-header-only", "csv-short-row", "csv-empty-cell",
     ],
 )
 def test_bad_matrix_act_names_exit_one(capsys, tmp_path, suffix, text, message):
@@ -724,6 +811,59 @@ def test_graph_output_is_utf8_under_an_ascii_locale(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert '"caf\u00e9"' in target.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"matrix": [[0, ' + "1" * 5_001 + "], [1, 0]]}"],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_every_json_parse_failure_names_the_file(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "matrix", "--problem", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: problem file {path}: invalid JSON")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["intro.json", "intro.csv"])
+def test_utf8_byte_order_mark_is_accepted(capsys, problem_dir, tmp_path, name):
+    source = problem_dir / "intro.json"
+    if name.endswith(".csv"):
+        code, text, _ = run_cli(capsys, "matrix", "--problem", str(source), "--format", "csv")
+        assert code == 0
+    else:
+        text = source.read_text()
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    argv = ["solve", "--k", "2", "--criterion", "maximin", "--problem"]
+    want = run_cli(capsys, *argv, str(plain))
+    assert want[0] == 0
+    assert run_cli(capsys, *argv, str(marked)) == want
+
+
+@pytest.mark.parametrize(
+    "criterion, row",
+    [("minimax", b"a1 a2,1.4,minimax,1,lex\n"), ("maximin", b"a1 a2,1.4,maximin,1,lex\n")],
+)
+def test_solve_csv_bytes(capsysbinary, problem_dir, criterion, row):
+    code = main([
+        "solve", "--problem", str(problem_dir / "intro.json"), "--k", "2",
+        "--criterion", criterion, "--format", "csv",
+    ])
+    assert code == 0
+    assert capsysbinary.readouterr().out == b"subset,value,criterion,tie_count,tie_break\n" + row
+
+
+def test_matrix_table_prints_a_rounded_negative_zero_as_zero(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"matrix": [[0, -0.004], [1, 0]]}')
+    code, out, _ = run_cli(capsys, "matrix", "--problem", str(path))
+    assert code == 0
+    assert out.splitlines() == ["     a1   a2", "a1    -  1.0", "a2  0.0    -"]
 
 
 @pytest.mark.parametrize("suffix", [".json", ".csv"])

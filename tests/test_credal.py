@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import interval_rows
 
-from credalbudget.credal import Act, CredalSet, LinearConstraint, StateSpace
+from credalbudget.credal import Act, CredalSet, LinearConstraint
 from credalbudget.errors import GuardExceededError, InfeasibleCredalError
 
 
@@ -139,10 +139,6 @@ def test_monotonicity_and_shift(interval_credal):
 
 
 def test_state_space_and_act_validation():
-    with pytest.raises(ValueError, match="unique"):
-        StateSpace(("w1", "w1"))
-    with pytest.raises(ValueError, match="at least one"):
-        StateSpace(())
     with pytest.raises(ValueError, match="finite"):
         Act("a1", (1.0, float("nan")))
     with pytest.raises(ValueError, match=r"credal.vertices\[1\]: probability mass must be finite"):
