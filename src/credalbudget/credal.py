@@ -44,7 +44,7 @@ class Act:
             raise ValueError("act.name: must be a nonempty string")
         if len(self.payoffs) == 0:
             raise ValueError(f"act {self.name!r}: payoffs must be nonempty")
-        if not all(np.isfinite(self.payoffs)):
+        if not np.isfinite(np.asarray(self.payoffs, dtype=float)).all():
             raise ValueError(f"act {self.name!r}: payoffs must all be finite")
 
 
@@ -61,7 +61,7 @@ class LinearConstraint:
             raise ValueError(
                 f"constraint.relation: expected one of {RELATIONS}, got {self.relation!r}"
             )
-        if not all(np.isfinite(self.coeffs)) or not np.isfinite(self.rhs):
+        if not np.isfinite(np.asarray((*self.coeffs, self.rhs), dtype=float)).all():
             raise ValueError("constraint: coefficients and rhs must be finite")
 
 

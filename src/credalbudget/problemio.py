@@ -1,13 +1,14 @@
-"""Problem-file loading and validation.
+"""Problem-file loading: types, lengths, keys and names are checked here.
 
-A problem is JSON with states, named acts, and a credal set in vertex or
-constraint form; constraint form implies the simplex conditions, which files
-must not restate. A precomputed form replaces all of that with the pairwise
-regret matrix itself ("matrix" key, entries[i][j] = regret of keeping act i
-against challenger j); "acts" may name its rows, and "states" or "credal"
-beside it are refused. A key the format does not define is refused at every
-level, so a misspelt one is never silently dropped. Matrix CSV files
-produced by the matrix command are accepted as precomputed problems too.
+The numbers are checked by their classes (`Act`, `LinearConstraint`,
+`CredalSet.from_vertices`, `RegretMatrix`), which refuse non-finite ones;
+an integer beyond the float range reads as +-inf, as json reads 1e400. A
+problem is JSON with states, named acts, and a credal set in vertex or
+constraint form (the simplex conditions are implied, not restated), or the
+precomputed regret matrix ("matrix" key, entries[i][j] = regret of keeping
+act i against challenger j) whose rows "acts" may name, with no "states" or
+"credal". A key the format does not define is refused at every level.
+Matrix CSV files from the matrix command load as precomputed problems too.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .credal import Act, CredalSet, LinearConstraint
 from .errors import ProblemFormatError
@@ -53,21 +52,21 @@ def _reject_unknown(data: dict, known: tuple[str, ...], prefix: str) -> None:
             raise ProblemFormatError(f"{prefix}{key}: unknown key")
 
 
-def _numeric_vector(values, length: int | None, where: str) -> tuple[float, ...]:
+def _number(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _numeric_vector(values, length: int, where: str) -> tuple[float, ...]:
     if not isinstance(values, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise ProblemFormatError(f"{where}: expected a list of numbers")
-    if length is not None and len(values) != length:
+    if len(values) != length:
         raise ProblemFormatError(f"{where}: expected {length} numbers, got {len(values)}")
-    try:
-        floats = tuple(float(v) for v in values)
-        finite = all(math.isfinite(v) for v in floats)  # Python's json reads NaN and Infinity
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ProblemFormatError(f"{where}: numbers must be finite")
-    return floats
+    return tuple(_number(v) for v in values)
 
 
 def _check_names(names, where: str) -> None:
@@ -92,17 +91,17 @@ def problem_from_dict(data: dict) -> Problem:
         if not isinstance(rows, list) or not rows:
             raise ProblemFormatError("matrix: expected a nonempty list of rows")
         n = len(rows)
-        entries = np.zeros((n, n))
-        for i, row in enumerate(rows):
-            entries[i] = _numeric_vector(row, n, f"matrix[{i}]")
-        np.fill_diagonal(entries, 0.0)
+        entries = [_numeric_vector(row, n, f"matrix[{i}]") for i, row in enumerate(rows)]
         names = data.get("acts", [f"a{i + 1}" for i in range(n)])
         if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
             raise ProblemFormatError("acts: with a matrix, acts must be a list of names")
         if len(names) != n:
             raise ProblemFormatError(f"acts: expected {n} names, got {len(names)}")
         _check_names(names, "acts")
-        return Problem(None, None, RegretMatrix(tuple(names), entries))
+        try:
+            return Problem(None, None, RegretMatrix(tuple(names), entries))
+        except ValueError as exc:
+            raise ProblemFormatError(str(exc)) from exc
 
     _reject_unknown(data, ("states", "acts", "credal"), "")
     labels = _require(data, "states", list, "problem")
@@ -167,8 +166,8 @@ def problem_from_dict(data: dict) -> Problem:
             if not isinstance(rhs, (int, float)) or isinstance(rhs, bool):
                 raise ProblemFormatError(f"credal.constraints[{i}].rhs: expected a number")
             try:
-                rows.append(LinearConstraint(coeffs, relation, float(rhs)))
-            except (ValueError, OverflowError) as exc:
+                rows.append(LinearConstraint(coeffs, relation, _number(rhs)))
+            except ValueError as exc:
                 raise ProblemFormatError(f"credal.constraints[{i}]: {exc}") from exc
         credal = CredalSet.from_constraints(rows, len(labels))  # raises InfeasibleCredalError
 

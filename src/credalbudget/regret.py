@@ -48,6 +48,7 @@ class RegretMatrix:
             i, j = np.argwhere(~np.isfinite(entries))[0]
             raise ValueError(f"matrix[{i}][{j}]: entries must be finite, got {entries[i, j]}")
         entries = entries + 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
+        np.fill_diagonal(entries, 0.0)  # after the check, so a non-finite diagonal is refused
         object.__setattr__(self, "entries", entries)
         entries.setflags(write=False)
 

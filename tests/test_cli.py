@@ -596,7 +596,7 @@ def test_non_finite_json_matrix_exits_one(capsys, tmp_path, criterion):
         capsys, "solve", "--problem", str(path), "--k", "1", "--criterion", criterion
     )
     assert (code, out) == (1, "")
-    assert "matrix[0]: numbers must be finite" in err
+    assert "matrix[0][1]: entries must be finite, got nan" in err
 
 
 def test_json_integer_beyond_float_range_exits_one(capsys, tmp_path):
@@ -604,7 +604,7 @@ def test_json_integer_beyond_float_range_exits_one(capsys, tmp_path):
     path.write_text('{"matrix": [[0, 1%s], [2, 0]]}' % ("0" * 400))
     code, out, err = run_cli(capsys, "solve", "--problem", str(path), "--k", "1")
     assert (code, out) == (1, "")
-    assert "matrix[0]: numbers must be finite" in err
+    assert "matrix[0][1]: entries must be finite, got inf" in err
 
 
 def test_non_finite_json_vertex_exits_one(capsys, tmp_path):
@@ -615,7 +615,7 @@ def test_non_finite_json_vertex_exits_one(capsys, tmp_path):
     )
     code, out, err = run_cli(capsys, "matrix", "--problem", str(path))
     assert (code, out) == (1, "")
-    assert "credal.vertices[1]: numbers must be finite" in err
+    assert "credal.vertices[1]: probability mass must be finite" in err
 
 
 def test_non_finite_json_payoff_exits_one(capsys, tmp_path):
@@ -626,7 +626,7 @@ def test_non_finite_json_payoff_exits_one(capsys, tmp_path):
     )
     code, out, err = run_cli(capsys, "maximality", "--problem", str(path))
     assert (code, out) == (1, "")
-    assert "acts[0].payoffs: numbers must be finite" in err
+    assert "acts[0]: act 'a': payoffs must all be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -695,6 +695,8 @@ _STATES_ACTS = '"states": ["s", "t"], "acts": [{"name": "a", "payoffs": [1, 2]}]
             "acts: with a matrix, acts must be a list of names",
         ),
         (".json", '{"matrix": [[0, 1], [1, 0]], "acts": ["a"]}', "acts: expected 2 names, got 1"),
+        # the diagonal is never read, but a NaN there is refused, not zeroed
+        (".json", '{"matrix": [[NaN, 1], [1, 0]]}', "matrix[0][0]: entries must be finite, got nan"),
         (
             ".json",
             '{"states": ["s", 1], "acts": [], "credal": {}}',
@@ -754,6 +756,12 @@ _STATES_ACTS = '"states": ["s", "t"], "acts": [{"name": "a", "payoffs": [1, 2]}]
             ' [{"coeffs": [1, 0], "relation": "<", "rhs": 0.5}]}}',
             "credal.constraints[0]: constraint.relation: expected one of ('<=', '>=', '=')",
         ),
+        (
+            ".json",
+            "{" + _STATES_ACTS + ', "credal": {"constraints":'
+            ' [{"coeffs": [1, 0], "relation": "<=", "rhs": 1' + "0" * 400 + "}]}}",
+            "credal.constraints[0]: constraint: coefficients and rhs must be finite",
+        ),
         (".csv", ",a\n", "matrix csv: expected a header row and one row per act"),
         (".csv", ",a,b\na,,1\nb,1\n", "matrix csv row 2: expected 3 cells"),
         (".csv", ",a,b\na,,\nb,1,\n", "matrix csv row 1: empty off-diagonal cell"),
@@ -763,11 +771,11 @@ _STATES_ACTS = '"states": ["s", "t"], "acts": [{"name": "a", "payoffs": [1, 2]}]
         "unknown-top-act", "unknown-act-payof", "unknown-credal-constraints_",
         "unknown-constraint-rhs2", "unknown-top-matrixx",
         "top-level-list", "states-not-list", "matrix-empty", "matrix-row-not-list",
-        "matrix-row-short", "matrix-acts-not-list", "matrix-acts-short",
+        "matrix-row-short", "matrix-acts-not-list", "matrix-acts-short", "matrix-nan-diagonal",
         "states-not-strings", "states-empty-list", "states-empty-name", "states-duplicate",
         "act-not-object", "act-empty-name", "credal-neither", "vertices-empty",
         "vertex-negative", "constraints-not-list", "constraint-not-object",
-        "constraint-rhs-not-number", "constraint-bad-relation",
+        "constraint-rhs-not-number", "constraint-bad-relation", "constraint-rhs-beyond-float",
         "csv-header-only", "csv-short-row", "csv-empty-cell",
     ],
 )

@@ -145,6 +145,13 @@ def test_state_space_and_act_validation():
         CredalSet.from_vertices([[0.5, 0.5, 0.0], [float("nan"), 0.5, 0.5]])
     with pytest.raises(ValueError, match="relation"):
         LinearConstraint((1.0,), "<", 0.5)
+    # an integer beyond int64 is a finite float; one beyond the float range overflows
+    assert Act("a", (2**64, 1.0)).payoffs == (2**64, 1.0)
+    assert LinearConstraint((1.0, 0.0), "<=", 2**64).rhs == 2**64
+    with pytest.raises(OverflowError):
+        Act("a", (10**400, 1.0))
+    with pytest.raises(OverflowError):
+        LinearConstraint((1.0, 0.0), "<=", 10**400)
 
 
 def _count_linalg(monkeypatch):

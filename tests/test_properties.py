@@ -1,4 +1,7 @@
-"""Property-based checks of the solver and expectation invariants."""
+"""Property-based checks of the solver, expectation and problem-file invariants."""
+
+import copy
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +19,9 @@ from credalbudget.budget import (
     solve_minimax,
 )
 from credalbudget.credal import CredalSet, LinearConstraint
+from credalbudget.errors import InfeasibleCredalError, ProblemFormatError
+from credalbudget.instances import builtin_instances
+from credalbudget.problemio import problem_from_dict
 from credalbudget.regret import (
     NEG_INFINITY,
     RegretMatrix,
@@ -221,3 +227,52 @@ def test_lp_agrees_with_vertex_enumeration(case):
         assert credal.lower_expectation(gamble) == -credal.upper_expectation(-gamble)
         assert np.min(gamble) - 1e-9 <= credal.lower_expectation(gamble)
         assert credal.upper_expectation(gamble) <= np.max(gamble) + 1e-9
+
+
+def _problem_files():
+    """The bundled problems, plus intro's matrix in the precomputed form."""
+    instances = builtin_instances()
+    intro = problem_from_dict(instances["intro"].problem).regret_matrix()
+    matrix_form = {"matrix": intro.entries.tolist(), "acts": list(intro.names)}
+    return [inst.problem for inst in instances.values()] + [matrix_form]
+
+
+PROBLEM_FILES = _problem_files()
+BAD_LEAVES = [math.nan, math.inf, -math.inf, 2**64, 10**400, "x", True, [], {}]
+
+
+def _slots(node):
+    """(container, key) for every value below node, depth first."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def mutated_problem(draw):
+    """A bundled problem with one leaf replaced, or one key added or dropped."""
+    data = copy.deepcopy(draw(st.sampled_from(PROBLEM_FILES)))
+    slots = list(_slots(data))
+    how = draw(st.sampled_from(["leaf", "add", "drop"]))
+    if how == "leaf":
+        leaves = [(c, k) for c, k in slots if not isinstance(c[k], (dict, list))]
+        container, key = draw(st.sampled_from(leaves))
+        container[key] = draw(st.sampled_from(BAD_LEAVES))
+    else:
+        target = draw(st.sampled_from([data] + [c[k] for c, k in slots if isinstance(c[k], dict)]))
+        if how == "add":
+            target["extra"] = 1
+        else:
+            del target[draw(st.sampled_from(sorted(target)))]
+    return data
+
+
+@settings(max_examples=300, **COMMON)
+@given(mutated_problem())
+def test_a_mutated_problem_file_loads_or_is_refused(data):
+    # never a TypeError, an OverflowError or a ValueError without the field's path
+    try:
+        problem_from_dict(data)
+    except (ProblemFormatError, InfeasibleCredalError):
+        pass

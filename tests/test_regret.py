@@ -150,6 +150,16 @@ def test_regret_matrix_needs_an_act():
         RegretMatrix((), np.zeros((0, 0)))
 
 
+def test_regret_matrix_zeroes_its_own_diagonal():
+    given = np.array([[5.0, 1.0], [2.0, -0.0]])
+    matrix = RegretMatrix(("a", "b"), given)
+    assert matrix.entries.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+    assert not np.signbit(matrix.entries).any()
+    assert given[0, 0] == 5.0  # the caller's array is left as it was
+    with pytest.raises(ValueError, match=r"matrix\[0\]\[0\]: entries must be finite"):
+        RegretMatrix(("a", "b"), [[np.nan, 1.0], [1.0, 0.0]])
+
+
 def test_single_act_is_maximal():
     matrix = RegretMatrix(("only",), np.zeros((1, 1)))
     assert maximal_acts(matrix) == (0,)
