@@ -5,7 +5,9 @@ finite state space, given either as an explicit list of vertices or as linear
 constraints on the mass function (the simplex conditions are always implied).
 Upper expectations maximize a gamble's expectation over the set: a dot-product
 maximum in vertex form, and in constraint form one small dense LP over the
-`<=` rows, then sum p = 1, with p >= 0 (`simplex.maximize`).
+`<=` rows, then sum p = 1, with p >= 0. Phase 1 of that LP reads only the
+rows, so it runs once per set (`simplex.feasible_start`), and each
+expectation runs only phase 2 from the cached start (`simplex.maximize`).
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ class CredalSet:
     """Convex set of pmfs in vertex or constraint form.
 
     Instances are immutable and safe to share across threads; every query is
-    a pure function of the stored representation.
+    a pure function of the stored representation. A constraint-form set
+    caches one read-only start, phase 1 of its LP, on its first upper
+    expectation; two threads may both compute it, and they compute
+    identical bytes. Rows that no pmf meets cache nothing, so each upper
+    expectation raises simplex.Infeasible again.
     """
 
     def __init__(
@@ -84,6 +90,7 @@ class CredalSet:
         self._vertices = vertices
         self._a_ub = a_ub
         self._b_ub = b_ub
+        self._start = None
         if vertices is not None:
             vertices.setflags(write=False)
 
@@ -111,7 +118,10 @@ class CredalSet:
 
     @classmethod
     def from_constraints(cls, constraints, dimension: int) -> "CredalSet":
-        """Build from linear constraint rows; checks feasibility with an LP."""
+        """Build from linear constraint rows; checks feasibility with an LP.
+
+        The set keeps that LP's phase 1 for its later upper expectations.
+        """
         rows = tuple(constraints)
         for idx, c in enumerate(rows):
             if len(c.coeffs) != dimension:
@@ -162,7 +172,9 @@ class CredalSet:
             )
         if self._vertices is not None:
             return float(np.max(self._vertices @ g))
-        return simplex.maximize(g, self._a_ub, self._b_ub)
+        if self._start is None:
+            self._start = simplex.feasible_start(self._a_ub, self._b_ub)
+        return simplex.maximize(g, self._start)
 
     def lower_expectation(self, gamble) -> float:
         """Minimum expectation, by duality the negated upper of the negation."""

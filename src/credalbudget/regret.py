@@ -107,8 +107,9 @@ def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     Constraint-form sets are enumerated once (`CredalSet.extreme_points`)
     and then take the same pass; when the enumeration guard refuses the
     polytope (dimension over ENUM_MAX_DIM or more than ENUM_MAX_BASES
-    bases), one LP is solved per ordered pair instead. The two routes agree
-    to rounding (about 1e-14), not bit for bit.
+    bases), one LP is solved per ordered pair instead: the set runs phase 1
+    once, and each pair only phase 2 from it. The two routes agree to
+    rounding (about 1e-14), not bit for bit.
     """
     if len(acts) == 0:
         raise ValueError("acts: at least one act is required")

@@ -5,10 +5,13 @@ p >= 0}, with a handful of variables (one per state) and a handful of rows,
 so a plain dense tableau with Bland's anti-cycling rule is both simple and
 robust. The tableau holds the `<=` rows, each negated whole where its rhs
 is negative, then the row sum p = 1, over the variables, a slack per `<=`
-row, one block of artificials and the rhs. Each pivot is one masked numpy
-update of the whole tableau plus a ratio test over Python floats; it does
-the same element operations in the same order as a row-by-row loop, so
-values and pivot sequences are the loop's bit for bit.
+row, one block of artificials and the rhs. Phase 1 never reads the
+objective, so it is its own function (`feasible_start`): it runs once per
+set of rows, and `maximize` runs phase 2 for each objective on a copy of
+its read-only result. Each pivot is one masked numpy update of the whole
+tableau plus a ratio test over Python floats; it does the same element
+operations in the same order as a row-by-row loop, so values and pivot
+sequences are the loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -81,16 +84,16 @@ def _iterate(tableau: np.ndarray, basis: list[int]) -> None:
     raise GuardExceededError("simplex exceeds the %d LP pivot guard" % _MAX_PIVOTS)
 
 
-def maximize(objective: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> float:
-    """Maximize objective @ p subject to a_ub @ p <= b_ub, sum p = 1, p >= 0.
+def feasible_start(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Phase 1 of max objective @ p subject to a_ub @ p <= b_ub, sum p = 1, p >= 0.
 
-    Returns the optimal value. Raises Infeasible when no p meets the rows,
-    and GuardExceededError when a phase takes more than _MAX_PIVOTS pivots.
+    Phase 1 never reads the objective, so one start serves every LP over
+    these rows. Returns the feasible tableau, read-only and with its
+    artificial columns cleared, and its basis. Raises Infeasible when no p
+    meets the rows, and GuardExceededError past _MAX_PIVOTS pivots.
     """
-    objective = np.asarray(objective, dtype=float).ravel()
-    nvars = objective.size
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, nvars)
-    n_ub = len(a_ub)
+    a_ub = np.asarray(a_ub, dtype=float)
+    n_ub, nvars = a_ub.shape
     m = n_ub + 1
     b_ub = np.asarray(b_ub, dtype=float).reshape(n_ub)  # a length mismatch raises
 
@@ -134,12 +137,25 @@ def maximize(objective: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> float
                     basis[r] = j
                     break
     tableau[:, art_start:-1] = 0.0
+    tableau.setflags(write=False)
+    return tableau, tuple(basis)
+
+
+def maximize(objective: np.ndarray, start: tuple[np.ndarray, tuple[int, ...]]) -> float:
+    """Phase 2: maximize objective @ p from a `feasible_start` of the rows.
+
+    Pivots on a copy, so the start is left as it was. Returns the optimal
+    value, and raises GuardExceededError past _MAX_PIVOTS pivots.
+    """
+    objective = np.asarray(objective, dtype=float).ravel()
+    nvars = objective.size
+    tableau, basis = start[0].copy(), list(start[1])
 
     # Phase 2: rebuild the reduced-cost row for the real objective.
     tableau[-1] = 0.0
     tableau[-1, :nvars] = -objective
     costs = objective.tolist()
-    for r in range(m):
+    for r in range(len(basis)):
         if basis[r] < nvars and costs[basis[r]] != 0.0:
             tableau[-1] += costs[basis[r]] * tableau[r]
     _iterate(tableau, basis)

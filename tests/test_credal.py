@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from conftest import interval_rows
 
+from credalbudget import simplex
 from credalbudget.credal import Act, CredalSet, LinearConstraint
 from credalbudget.errors import GuardExceededError, InfeasibleCredalError
+from credalbudget.regret import regret_matrix
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,39 @@ def test_enumeration_basis_guard_is_immediate():
 def test_infeasible_constraints_rejected_at_load():
     with pytest.raises(InfeasibleCredalError):
         CredalSet.from_constraints([LinearConstraint((1.0, 0.0), "<=", -0.5)], 2)
+
+
+def _count_lp_phases(monkeypatch):
+    """Count the calls of phase 1 (feasible_start) and of phase 2 (maximize)."""
+    calls = {"feasible_start": 0, "maximize": 0}
+    for name in calls:
+        real = getattr(simplex, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(simplex, name, counted)
+    return calls
+
+
+def test_phase_one_runs_once_per_credal_set(monkeypatch):
+    calls = _count_lp_phases(monkeypatch)
+    credal = CredalSet.from_constraints(interval_rows(14, 0.02, 0.15), 14)
+    payoffs = np.random.default_rng(14).integers(0, 101, size=(6, 14)).astype(float)
+    regret_matrix([Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)], credal)
+    assert calls == {"feasible_start": 1, "maximize": 31}  # 30 pairs and the feasibility LP
+
+
+def test_infeasible_rows_cache_no_start(monkeypatch):
+    calls = _count_lp_phases(monkeypatch)
+    # p_0 >= 0.6 and p_1 >= 0.6, built directly since from_constraints refuses them
+    credal = CredalSet(3, a_ub=-np.eye(3)[:2], b_ub=np.array([-0.6, -0.6]))
+    for _ in range(2):
+        with pytest.raises(simplex.Infeasible):
+            credal.upper_expectation(np.ones(3))
+    assert calls == {"feasible_start": 2, "maximize": 0}
+    assert credal._start is None
 
 
 def test_gamble_dimension_mismatch(interval_credal):

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 import reference_solvers
+from conftest import interval_rows
 from reference_solvers import (
     basic_feasible_points,
     extreme_points_reference,
@@ -747,6 +748,11 @@ def reference_maximize(gamble, a_ub, b_ub) -> float:
     return simplex_maximize_reference(*credal_lp(gamble, a_ub, b_ub))[0]
 
 
+def split_maximize(gamble, a_ub, b_ub) -> float:
+    """Both phases of the credal LP: a fresh start, then phase 2 from it."""
+    return simplex.maximize(gamble, simplex.feasible_start(a_ub, b_ub))
+
+
 def interval_lp(rng: np.random.Generator, d: int) -> tuple:
     """An interval box l <= p <= u on d states; sum l > 1 or sum u < 1 now and then."""
     lows = rng.uniform(0.0, 1.2 / d, size=d)
@@ -832,7 +838,7 @@ def assert_kernels_agree(monkeypatch, lps) -> collections.Counter:
     kinds, and under "drive-out" the number of LPs whose drive-out pivoted."""
     kinds: collections.Counter = collections.Counter()
     for lp in lps:
-        got = solve_recorded(monkeypatch, simplex, ("_pivot", "_iterate"), simplex.maximize, lp)
+        got = solve_recorded(monkeypatch, simplex, ("_pivot", "_iterate"), split_maximize, lp)
         want = solve_recorded(
             monkeypatch, reference_solvers,
             ("simplex_pivot_reference", "simplex_iterate_reference"), reference_maximize, lp,
@@ -876,6 +882,56 @@ def test_simplex_matches_row_loop_kernel_on_infinite_gambles(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         kinds = assert_kernels_agree(monkeypatch, lps)
     assert kinds["optimal"] > 0
+
+
+@pytest.mark.parametrize("kind", [kind for kind in LP_KINDS if kind != "infeasible"])
+def test_one_start_serves_many_objectives(monkeypatch, kind):
+    # Each phase 2 from a shared start equals a fresh solve of its own LP:
+    # value repr and phase-2 pivots. The start is read-only and keeps its
+    # bytes, so a phase 2 that pivots in place fails here.
+    rng = np.random.default_rng(100 + list(LP_KINDS).index(kind))
+    quiet = {"over": "ignore", "invalid": "ignore"} if kind == "edge-rows" else {}
+    starts = 0
+    with np.errstate(**quiet):
+        for _ in range(12):
+            _, a_ub, b_ub = LP_KINDS[kind](rng)
+            try:
+                start = simplex.feasible_start(a_ub, b_ub)
+            except simplex.Infeasible:
+                continue
+            starts += 1
+            before = start[0].tobytes()
+            d = a_ub.shape[1]
+            for k in range(10):
+                gamble = rng.normal(size=d) if k % 2 else rng.integers(-4, 5, d).astype(float)
+                got = solve_recorded(
+                    monkeypatch, simplex, ("_pivot", "_iterate"),
+                    lambda g: simplex.maximize(g, start), (gamble,),
+                )
+                value, steps = solve_recorded(
+                    monkeypatch, reference_solvers,
+                    ("simplex_pivot_reference", "simplex_iterate_reference"), reference_maximize,
+                    (gamble, a_ub, b_ub),
+                )
+                phase_two = len(steps) - 1 - steps[::-1].index("(")
+                assert got == (value, steps[phase_two:])
+            assert start[0].tobytes() == before
+            assert not start[0].flags.writeable
+    assert starts > 0
+
+
+@pytest.mark.parametrize("n_states", [13, 14])
+def test_guarded_matrix_matches_a_fresh_lp_per_pair(n_states):
+    # Each pair of the LP route runs phase 2 from the set's cached start; the
+    # row-loop kernel solves both phases afresh for every pair.
+    credal = CredalSet.from_constraints(interval_rows(n_states, 0.02, 0.15), n_states)
+    rng = np.random.default_rng(n_states)
+    payoffs = rng.integers(0, 101, size=(6, n_states)).astype(float)
+    acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
+    want = np.zeros((6, 6))
+    for i, j in itertools.permutations(range(6), 2):
+        want[i, j] = reference_maximize(payoffs[j] - payoffs[i], credal._a_ub, credal._b_ub)
+    assert regret_matrix(acts, credal).entries.tobytes() == want.tobytes()
 
 
 def test_simplex_pivot_warns_no_more_than_the_row_loop():
