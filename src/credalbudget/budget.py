@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,7 +85,7 @@ def _validate_k(k: int) -> None:
 
 
 def _policy(tie_break: str, seed: int | None) -> tuple[str, np.random.Generator | None]:
-    actual = 0 if seed is None else int(seed)
+    actual = 0 if seed is None else operator.index(seed)  # 2.5 or "5" raises TypeError
     if actual < 0:
         raise ValueError(f"seed: must be >= 0, got {actual}")
     if tie_break == LEX:

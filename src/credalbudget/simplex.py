@@ -5,10 +5,10 @@ p >= 0}, with a handful of variables (one per state) and a handful of rows,
 so a plain dense tableau with Bland's anti-cycling rule is both simple and
 robust. The tableau holds the `<=` rows, each negated whole where its rhs
 is negative, then the row sum p = 1, over the variables, a slack per `<=`
-row, one block of artificials and the rhs. Phase 1 never reads the
-objective, so it is its own function (`feasible_start`): it runs once per
-set of rows, and `maximize` runs phase 2 for each objective on a copy of
-its read-only result. Each pivot is one masked numpy update of the whole
+row, the artificials and the rhs. Phase 1 never reads the objective, so
+`feasible_start` runs it once per set of rows and then deletes the
+artificials; `maximize` runs phase 2 for each objective on a copy of that
+read-only start. Each pivot is one masked numpy update of the whole
 tableau plus a ratio test over Python floats; it does the same element
 operations in the same order as a row-by-row loop, so values and pivot
 sequences are the loop's bit for bit.
@@ -88,13 +88,12 @@ def feasible_start(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, tupl
     """Phase 1 of max objective @ p subject to a_ub @ p <= b_ub, sum p = 1, p >= 0.
 
     Phase 1 never reads the objective, so one start serves every LP over
-    these rows. Returns the feasible tableau, read-only and with its
-    artificial columns cleared, and its basis. Raises Infeasible when no p
+    these rows. Returns the feasible tableau, read-only and over the states,
+    the slacks and the rhs alone, and its basis. Raises Infeasible when no p
     meets the rows, and GuardExceededError past _MAX_PIVOTS pivots.
     """
     a_ub = np.asarray(a_ub, dtype=float)
     n_ub, nvars = a_ub.shape
-    m = n_ub + 1
     b_ub = np.asarray(b_ub, dtype=float).reshape(n_ub)  # a length mismatch raises
 
     # A `<=` row whose rhs is not >= 0 (NaN included) is negated whole, so
@@ -104,17 +103,15 @@ def feasible_start(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, tupl
     flipped = [r for r, b in enumerate(b_ub.tolist()) if not b >= 0]
     art_rows = flipped + [n_ub]
     art_start = nvars + n_ub
-    ncols = art_start + len(art_rows)
 
-    tableau = np.zeros((m + 1, ncols + 1))
+    tableau = np.zeros((n_ub + 2, art_start + len(art_rows) + 1))
     tableau[:n_ub, :nvars] = a_ub
     tableau[:n_ub, -1] = b_ub
-    tableau[n_ub, :nvars] = 1.0
-    tableau[n_ub, -1] = 1.0
+    tableau[n_ub, :nvars] = tableau[n_ub, -1] = 1.0
     np.fill_diagonal(tableau[:n_ub, nvars:], 1.0)
     for r in flipped:
         np.negative(tableau[r], out=tableau[r])
-    basis = list(range(nvars, nvars + m))  # slacks; artificial rows are reset below
+    basis = list(range(nvars, nvars + n_ub + 1))  # slacks; artificial rows are reset below
     for col, r in enumerate(art_rows, art_start):
         tableau[r, col] = 1.0
         basis[r] = col
@@ -127,16 +124,16 @@ def feasible_start(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, tupl
     _iterate(tableau, basis)
     if tableau[-1, -1] < -FEAS_TOL:
         raise Infeasible("phase-1 optimum leaves infeasibility %g" % -tableau[-1, -1])
-    # Drive leftover artificials out of the basis; all-zero rows are
-    # redundant constraints and can be neutralized in place.
-    for r in range(m):
+    # Drive leftover artificials out of the basis. A redundant, all-zero row
+    # keeps its artificial's index as its label, which phase 2 only compares.
+    tableau = np.delete(tableau, np.s_[art_start:-1], axis=1)
+    for r in range(n_ub + 1):
         if basis[r] >= art_start:
-            for j, coef in enumerate(tableau[r, :art_start].tolist()):
+            for j, coef in enumerate(tableau[r, :-1].tolist()):
                 if abs(coef) > FEAS_TOL:
                     _pivot(tableau, r, j)
                     basis[r] = j
                     break
-    tableau[:, art_start:-1] = 0.0
     tableau.setflags(write=False)
     return tableau, tuple(basis)
 
@@ -145,11 +142,14 @@ def maximize(objective: np.ndarray, start: tuple[np.ndarray, tuple[int, ...]]) -
     """Phase 2: maximize objective @ p from a `feasible_start` of the rows.
 
     Pivots on a copy, so the start is left as it was. Returns the optimal
-    value, and raises GuardExceededError past _MAX_PIVOTS pivots.
+    value. Raises ValueError unless the objective has one entry per state,
+    and GuardExceededError past _MAX_PIVOTS pivots.
     """
-    objective = np.asarray(objective, dtype=float).ravel()
-    nvars = objective.size
     tableau, basis = start[0].copy(), list(start[1])
+    nvars = tableau.shape[1] - tableau.shape[0] + 1
+    objective = np.asarray(objective, dtype=float).ravel()
+    if objective.size != nvars:
+        raise ValueError(f"objective: expected {nvars} entries, got {objective.size}")
 
     # Phase 2: rebuild the reduced-cost row for the real objective.
     tableau[-1] = 0.0

@@ -429,6 +429,26 @@ def test_budgeted_rule_branches(matrices):
                     budgeted_rule(matrix, k, crit, tie_break=tie_break, seed=-1)
 
 
+def test_a_seed_must_be_an_integer(matrices):
+    # 2.5 and "5" are refused under either policy, not truncated or parsed
+    # into a seeded:2 or seeded:5 label; numpy integers are integers.
+    six = matrices["sixacts"]
+    solvers = [
+        functools.partial(solve_minimax, six, 2),
+        functools.partial(solve_maximin, six, 2),
+        functools.partial(solve_greedy, six, 2, Criterion.GREEDY_MINIMAX),
+        functools.partial(solve_greedy, six, 2, Criterion.GREEDY_MAXIMIN),
+        functools.partial(budgeted_rule, six, 2, Criterion.MAXIMIN),
+    ]
+    for solve in solvers:
+        for tie_break in ("lex", "seeded"):
+            for seed in (2.5, 2.0, "5"):
+                with pytest.raises(TypeError):
+                    solve(tie_break=tie_break, seed=seed)
+        assert solve(tie_break="seeded", seed=np.int64(5)) == solve(tie_break="seeded", seed=5)
+    assert solve_minimax(six, 2, tie_break="seeded", seed=np.uint8(5)).tie_break == "seeded:5"
+
+
 @pytest.mark.parametrize(
     "criterion",
     [c for c in Criterion if c not in (Criterion.MINIMAX, Criterion.MAXIMIN)],

@@ -901,7 +901,8 @@ def test_one_start_serves_many_objectives(monkeypatch, kind):
                 continue
             starts += 1
             before = start[0].tobytes()
-            d = a_ub.shape[1]
+            n_ub, d = a_ub.shape
+            assert start[0].shape == (n_ub + 2, d + n_ub + 1)  # no artificial column
             for k in range(10):
                 gamble = rng.normal(size=d) if k % 2 else rng.integers(-4, 5, d).astype(float)
                 got = solve_recorded(

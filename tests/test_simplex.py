@@ -61,6 +61,19 @@ def test_rhs_length_must_match_the_rows():
         simplex.feasible_start(np.eye(2), np.array([1.0]))
 
 
+def test_objective_length_must_match_the_start():
+    # the start fixes the state count, so an objective of another length is
+    # refused instead of solving a different LP; a (1, 5) row is 5 entries
+    rows = np.vstack([-np.eye(5), np.eye(5)])
+    start = simplex.feasible_start(rows, np.r_[np.full(5, -0.1), np.full(5, 0.4)])
+    for size in (3, 6):
+        with pytest.raises(ValueError, match=f"objective: expected 5 entries, got {size}"):
+            simplex.maximize(np.arange(1.0, size + 1), start)
+    gamble = np.arange(1.0, 6.0)
+    assert simplex.maximize(gamble.reshape(1, 5), start) == simplex.maximize(gamble, start)
+    assert simplex.maximize(gamble, start) == pytest.approx(3.8, abs=1e-9)
+
+
 def test_redundant_equality_rows():
     # p_0 + p_1 = 1 as two `<=` rows repeats sum p = 1: the artificials of
     # the negated row and of the sum row stay basic after phase 1 and are
