@@ -8,6 +8,9 @@ maximum in vertex form, and in constraint form one small dense LP over the
 `<=` rows, then sum p = 1, with p >= 0. Phase 1 of that LP reads only the
 rows, so it runs once per set (`simplex.feasible_start`), and each
 expectation runs only phase 2 from the cached start (`simplex.maximize`).
+A box, where every row bounds one state (`l_s <= p_s <= u_s`), reports its
+bounds (`CredalSet.box_bounds`), so a regret matrix too large to enumerate
+can use the interval closed form instead of the LP.
 """
 
 from __future__ import annotations
@@ -202,10 +205,7 @@ class CredalSet:
             raise GuardExceededError(
                 f"vertex enumeration limited to dimension {ENUM_MAX_DIM}, got {n}"
             )
-        nonneg = np.zeros((n, n))  # p_i >= 0 as -p_i <= 0; built so zeros stay +0.0
-        np.fill_diagonal(nonneg, -1.0)
-        rows = np.vstack([self._a_ub, nonneg])
-        rhs = np.concatenate([self._b_ub, np.zeros(n)])
+        rows, rhs = self._rows()
         bases = math.comb(len(rows), n - 1)
         if bases > ENUM_MAX_BASES:
             raise GuardExceededError(
@@ -257,6 +257,26 @@ class CredalSet:
             raise InfeasibleCredalError("credal.constraints: polytope has no vertices")
         found.setflags(write=False)
         return found
+
+    def box_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per-state (low, high) when the set is a box, else None.
+
+        A constraint-form set is a box when every row, p >= 0 included, is
+        +-e_s (see `_Box`); low then holds each state's largest lower bound
+        (at least 0) and high its smallest upper bound (at most 1). Vertex
+        form gives None.
+        """
+        if self._vertices is not None:
+            return None
+        box = _Box.of(*self._rows())
+        return None if box is None else (box.low, box.high)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The a_ub rows, then p_s >= 0 as -p_s <= 0, and their rhs."""
+        n = self.dimension
+        nonneg = np.zeros((n, n))  # built so zeros stay +0.0
+        np.fill_diagonal(nonneg, -1.0)
+        return np.vstack([self._a_ub, nonneg]), np.concatenate([self._b_ub, np.zeros(n)])
 
 
 @dataclass(frozen=True)

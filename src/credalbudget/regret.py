@@ -6,6 +6,11 @@ tables follow the opposite orientation (rows indexed by the challenger j):
 display_rows, which both the CSV emitter and the CLI's table printer use,
 is the one place that transposes (matrix_from_csv reads its CSV back);
 everything else reads entries[i, j].
+
+`regret_matrix` takes one of four routes: a max over the stored or
+enumerated vertices, the interval closed form for a box too large to
+enumerate, or one LP per ordered pair for any other polytope too large to
+enumerate.
 """
 
 from __future__ import annotations
@@ -100,16 +105,55 @@ def pairwise_regret_from_vertices(vertices: np.ndarray, payoffs: np.ndarray) -> 
     return entries
 
 
+def pairwise_regret_on_box(low: np.ndarray, high: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """Vectorized entries[i, j] = max of (a_j - a_i) . p over low <= p <= high, sum p = 1.
+
+    The interval closed form (de Campos, Huete & Moral, IJUFKS 2(2), 1994):
+    for each pair, with g = a_j - a_i, p starts at low and the free mass
+    1 - sum(low) is poured into the states in decreasing order of g, each
+    up to high - low; the entry is g . p. The poured mass is clipped at 0,
+    so once the free mass runs out the remaining states stay at their
+    lower bounds, and where the lower bounds sum past 1 within the
+    feasibility tolerance p stays at low. Rows go through in blocks of at
+    most REGRET_BLOCK_FLOATS / (n_acts * n_states) rows (at least one), so
+    each temporary is about 1 MiB (one row's n_acts * n_states values when
+    that is more).
+    """
+    n, d = payoffs.shape
+    room = high - low
+    free = 1.0 - low.sum()
+    rows = min(n, max(1, REGRET_BLOCK_FLOATS // (n * d)))
+    entries = np.empty((n, n))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        gain = payoffs[None, :, :] - payoffs[r0:r1, None, :]  # gain[i - r0, j] = a_j - a_i
+        order = np.argsort(-gain, axis=-1, kind="stable")  # states by decreasing gain
+        gain = np.take_along_axis(gain, order, axis=-1)
+        cap = room[order]
+        poured = np.zeros_like(cap)
+        np.cumsum(cap[..., :-1], axis=-1, out=poured[..., 1:])  # room of the states before
+        np.subtract(free, poured, out=poured)  # free mass left on reaching each state
+        np.minimum(poured, cap, out=poured)
+        np.maximum(poured, 0.0, out=poured)  # none once the free mass has run out
+        p = np.add(poured, low[order], out=poured)
+        np.multiply(gain, p, out=p).sum(axis=-1, out=entries[r0:r1])
+    return entries
+
+
 def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     """Compute all pairwise regrets for the acts under the credal set.
 
-    Vertex-form credal sets use one vectorized pass over their vertices.
-    Constraint-form sets are enumerated once (`CredalSet.extreme_points`)
-    and then take the same pass; when the enumeration guard refuses the
-    polytope (dimension over ENUM_MAX_DIM or more than ENUM_MAX_BASES
-    bases), one LP is solved per ordered pair instead: the set runs phase 1
-    once, and each pair only phase 2 from it. The two routes agree to
-    rounding (about 1e-14), not bit for bit.
+    Four routes, tried in this order:
+    - vertex form: one vectorized pass over the stored vertices;
+    - constraint form: the set is enumerated once
+      (`CredalSet.extreme_points`) and then takes the same pass;
+    - when the enumeration guard refuses the polytope (dimension over
+      ENUM_MAX_DIM or more than ENUM_MAX_BASES bases) and it is a box
+      (`CredalSet.box_bounds`): the interval closed form,
+      `pairwise_regret_on_box`, with no LP;
+    - any other guarded polytope: one LP per ordered pair, where the set
+      runs phase 1 once and each pair only phase 2 from it.
+    The routes agree to rounding (about 1e-14), not bit for bit.
     """
     if len(acts) == 0:
         raise ValueError("acts: at least one act is required")
@@ -123,10 +167,11 @@ def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     names = tuple(a.name for a in acts)
     payoffs = np.array([a.payoffs for a in acts], dtype=float)
 
+    vertices = box = None
     try:
         vertices = credal.extreme_points()
     except GuardExceededError:
-        vertices = None
+        box = credal.box_bounds()
     # Payoffs near the float limits overflow to inf or nan here; RegretMatrix
     # then rejects the non-finite entry, so numpy's warnings would only repeat
     # it. The enumeration above stays outside: it never sees the payoffs, and
@@ -134,6 +179,8 @@ def regret_matrix(acts: list[Act], credal: CredalSet) -> RegretMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         if vertices is not None:
             entries = pairwise_regret_from_vertices(vertices, payoffs)
+        elif box is not None:
+            entries = pairwise_regret_on_box(*box, payoffs)
         else:
             n = len(acts)
             entries = np.zeros((n, n))

@@ -50,3 +50,13 @@ def interval_rows(n: int, lo: float, hi: float) -> list[LinearConstraint]:
         unit = tuple(1.0 if t == s else 0.0 for t in range(n))
         rows += [LinearConstraint(unit, ">=", lo), LinearConstraint(unit, "<=", hi)]
     return rows
+
+
+def coupled_interval_rows(n: int) -> list[LinearConstraint]:
+    """interval_rows(n, 0.02, 0.15) plus p_0 + p_1 <= 0.25.
+
+    The two-state row makes the set no box, so above the enumeration guard
+    its regret matrix takes one LP per pair rather than the box closed form.
+    """
+    pair = tuple(1.0 if t < 2 else 0.0 for t in range(n))
+    return interval_rows(n, 0.02, 0.15) + [LinearConstraint(pair, "<=", 0.25)]

@@ -14,8 +14,10 @@ tableau update, and its standard form built from per-row lists of rows,
 rhs values and row kinds, as it stood before the tableau was written
 directly. It still solves the general LP, with any `=` rows, that the
 library's kernel took before it was fixed to the credal form; the tests
-give it sum p = 1 as its one `=` row. The differential tests compare the
-library against them; do not change them to match the library.
+give it sum p = 1 as its one `=` row. The box regret reference is the
+interval closed form poured one state at a time in exact `Fraction`
+arithmetic. The differential tests compare the library against them; do
+not change them to match the library.
 
 The seeded branches of the minimax and greedy references state the seeded
 tie contract in plain per-row Python, and change only when that contract
@@ -30,6 +32,7 @@ where there is more than one candidate.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -161,6 +164,35 @@ def regret_matrix_lp_reference(payoffs: np.ndarray, credal) -> np.ndarray:
         for j in range(n):
             if i != j:
                 entries[i, j] = credal.upper_expectation(payoffs[j] - payoffs[i])
+    return entries
+
+
+def box_regret_reference(low, high, payoffs) -> list[list[Fraction]]:
+    """entries[i][j] = max of (a_j - a_i) . p over low <= p <= high, sum p = 1, exactly.
+
+    Every float is read as the exact binary rational it holds. For each
+    pair, p starts at low, and the free mass 1 - sum(low) is poured into
+    the states in decreasing order of a_j - a_i, each taking the smaller of
+    what is left and its room high - low, until none is left.
+    """
+    low = [Fraction(float(v)) for v in low]
+    high = [Fraction(float(v)) for v in high]
+    acts = [[Fraction(float(v)) for v in row] for row in payoffs]
+    entries = []
+    for a_i in acts:
+        row = []
+        for a_j in acts:
+            gamble = [x - y for x, y in zip(a_j, a_i)]
+            p = list(low)
+            left = 1 - sum(low)
+            for s in sorted(range(len(p)), key=lambda t: -gamble[t]):
+                if left <= 0:
+                    break
+                add = min(left, high[s] - low[s])
+                p[s] += add
+                left -= add
+            row.append(sum(g * q for g, q in zip(gamble, p)))
+        entries.append(row)
     return entries
 
 

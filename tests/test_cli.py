@@ -399,15 +399,20 @@ def interval_rows(n_states: int) -> list[dict]:
     return rows
 
 
-# The vertex route overflows in the vectorised build; 14 interval states are
-# above the enumeration guard, so that route overflows inside the pairwise LPs.
+# The vertex route overflows in the vectorised build. 14 interval states are
+# above the enumeration guard, so that box overflows in the closed form, and
+# with one more row, p_0 + p_1 <= 0.3, which makes it no box, inside the
+# pairwise LPs.
 @pytest.mark.parametrize(
     "problem",
     [
         overflowing_problem(2, {"vertices": [[0.5, 0.5], [1.0, 0.0]]}),
         overflowing_problem(14, {"constraints": interval_rows(14)}),
+        overflowing_problem(14, {"constraints": interval_rows(14) + [
+            {"coeffs": [1.0, 1.0] + [0.0] * 12, "relation": "<=", "rhs": 0.3}
+        ]}),
     ],
-    ids=["vertex", "lp"],
+    ids=["vertex", "box", "lp"],
 )
 def test_overflowing_payoffs_exit_one_without_warnings(capsys, tmp_path, problem):
     path = tmp_path / "overflow.json"

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import interval_rows
+from conftest import coupled_interval_rows, interval_rows
 
 from credalbudget import simplex
 from credalbudget.credal import Act, CredalSet, LinearConstraint
@@ -120,10 +120,18 @@ def _count_lp_phases(monkeypatch):
 
 def test_phase_one_runs_once_per_credal_set(monkeypatch):
     calls = _count_lp_phases(monkeypatch)
-    credal = CredalSet.from_constraints(interval_rows(14, 0.02, 0.15), 14)
+    credal = CredalSet.from_constraints(coupled_interval_rows(14), 14)  # no box: the LP route
     payoffs = np.random.default_rng(14).integers(0, 101, size=(6, 14)).astype(float)
     regret_matrix([Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)], credal)
     assert calls == {"feasible_start": 1, "maximize": 31}  # 30 pairs and the feasibility LP
+
+
+def test_box_above_the_guard_solves_no_pair_lp(monkeypatch):
+    calls = _count_lp_phases(monkeypatch)
+    credal = CredalSet.from_constraints(interval_rows(14, 0.02, 0.15), 14)
+    payoffs = np.random.default_rng(14).integers(0, 101, size=(6, 14)).astype(float)
+    regret_matrix([Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)], credal)
+    assert calls == {"feasible_start": 1, "maximize": 1}  # the feasibility LP alone
 
 
 def test_infeasible_rows_cache_no_start(monkeypatch):

@@ -3,7 +3,8 @@
 Subsets, values (by repr, so a signed zero counts), the vertex-form matrix
 bytes and the enumerated vertex bytes must match exactly, ties included.
 Constraint-form matrices, which now come from the enumerated vertices rather
-than from one LP per pair, must match the LP loop within 1e-9. The simplex
+than from one LP per pair, must match the LP loop within 1e-9; guarded boxes,
+which take the interval closed form, must also match an exact `Fraction` pour. The simplex
 must match its row-by-row kernel bit for bit on the credal LP: value,
 pivot sequence and exception type.
 """
@@ -17,9 +18,10 @@ import warnings
 import numpy as np
 import pytest
 import reference_solvers
-from conftest import interval_rows
+from conftest import coupled_interval_rows, interval_rows
 from reference_solvers import (
     basic_feasible_points,
+    box_regret_reference,
     extreme_points_reference,
     greedy_cover_reference,
     greedy_reference,
@@ -60,6 +62,7 @@ from credalbudget.regret import (
     maximin_regret,
     minimax_regret,
     pairwise_regret_from_vertices,
+    pairwise_regret_on_box,
     regret_matrix,
 )
 
@@ -669,6 +672,90 @@ def test_box_pruning_premise(d):
         assert all(by_choice[chosen] for chosen in kept)
 
 
+def continuous_box_rows(rng: np.random.Generator, d: int) -> list[LinearConstraint]:
+    """Bounds l_s <= p_s <= u_s around one interior pmf, on half the states or more."""
+    center = rng.dirichlet(np.ones(d))
+    rows = []
+    for s in rng.choice(d, size=int(rng.integers(d // 2, d + 1)), replace=False):
+        lo = max(0.0, center[s] - rng.uniform(0.0, 0.1))
+        hi = center[s] + rng.uniform(0.0, 0.1)
+        rows += [LinearConstraint(unit(d, s), ">=", lo), LinearConstraint(unit(d, s), "<=", hi)]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["integer", "real", "signed-zero"])
+def test_box_closed_form_matches_exact_pour(kind):
+    rng = np.random.default_rng(40 + ["integer", "real", "signed-zero"].index(kind))
+    for trial in range(16):
+        d = int(rng.integers(12, 17))
+        rows = random_box_rows(rng, d) if trial % 2 else continuous_box_rows(rng, d)
+        credal = CredalSet.from_constraints(rows, d)
+        low, high = credal.box_bounds()
+        payoffs = random_payoffs(rng, kind, int(rng.integers(2, 10)), d)
+        got = pairwise_regret_on_box(low, high, payoffs)
+        want = box_regret_reference(low, high, payoffs)
+        for i, j in itertools.permutations(range(len(payoffs)), 2):
+            scale = max(1.0, float(np.abs(payoffs[j] - payoffs[i]).max()))
+            assert abs(got[i, j] - float(want[i][j])) <= 1e-13 * scale
+        if d > ENUM_MAX_DIM:  # regret_matrix takes this route, not the LP
+            acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
+            assert regret_matrix(acts, credal).entries.tobytes() == (got + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("name", box_cases())
+def test_box_closed_form_matches_enumeration(name):
+    rows, d = box_cases()[name]
+    credal = CredalSet.from_constraints(rows, d)
+    payoffs = random_payoffs(np.random.default_rng(d), "real", 6, d)
+    want = pairwise_regret_from_vertices(credal.extreme_points(), payoffs)
+    got = pairwise_regret_on_box(*credal.box_bounds(), payoffs)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["lower-sum-past-one", "upper-sum-short-of-one"])
+def test_box_closed_form_matches_lp_at_the_feasibility_tolerance(side):
+    # Phase 1 accepts bounds that miss sum p = 1 by 5e-10. The closed form
+    # then keeps p at low (the poured mass is clipped at 0) or fills every
+    # state to high, while the LP's p breaks a bound by up to 5e-10 instead;
+    # the two differ by up to |g| * 5e-10, so payoffs in [0, 1] keep it under 1e-9.
+    d = 14
+    if side == "lower-sum-past-one":
+        low = np.full(d, (1.0 + 5e-10) / d)
+        high = low + 0.1
+    else:
+        high = np.full(d, (1.0 - 5e-10) / d)
+        low = high - 0.05
+    rows = []
+    for s in range(d):
+        rows.append(LinearConstraint(unit(d, s), ">=", float(low[s])))
+        rows.append(LinearConstraint(unit(d, s), "<=", float(high[s])))
+    credal = CredalSet.from_constraints(rows, d)
+    low, high = credal.box_bounds()
+    missed = low.sum() - 1.0 if side == "lower-sum-past-one" else 1.0 - high.sum()
+    assert missed > 4e-10
+    payoffs = np.random.default_rng(d).uniform(0.0, 1.0, size=(8, d))
+    acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
+    got = regret_matrix(acts, credal).entries
+    want = regret_matrix_lp_reference(payoffs, credal)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def test_box_closed_form_memory_is_blocked():
+    # 300 acts over 14 states: each (300, 300, 14) temporary of an unblocked
+    # pour would take 9.6 MiB, and it holds several at once.
+    credal = CredalSet.from_constraints(interval_rows(14, 0.02, 0.15), 14)
+    payoffs = np.random.default_rng(300).integers(0, 101, size=(300, 14)).astype(float)
+    acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
+    regret_matrix(acts[:2], credal)  # let numpy finish its lazy set-up
+    tracemalloc.start()
+    try:
+        regret_matrix(acts, credal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_finance_oracle_unchanged(problems, matrices):
     finance, problem = matrices["finance"], problems["finance"]
     payoffs = np.array([a.payoffs for a in problem.acts], dtype=float)
@@ -924,8 +1011,9 @@ def test_one_start_serves_many_objectives(monkeypatch, kind):
 @pytest.mark.parametrize("n_states", [13, 14])
 def test_guarded_matrix_matches_a_fresh_lp_per_pair(n_states):
     # Each pair of the LP route runs phase 2 from the set's cached start; the
-    # row-loop kernel solves both phases afresh for every pair.
-    credal = CredalSet.from_constraints(interval_rows(n_states, 0.02, 0.15), n_states)
+    # row-loop kernel solves both phases afresh for every pair. The set is no
+    # box, so it takes the LP route.
+    credal = CredalSet.from_constraints(coupled_interval_rows(n_states), n_states)
     rng = np.random.default_rng(n_states)
     payoffs = rng.integers(0, 101, size=(6, n_states)).astype(float)
     acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]

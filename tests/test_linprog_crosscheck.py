@@ -4,7 +4,7 @@ scipy is a test extra (`pip install -e .[test]`), not a runtime dependency;
 the module is skipped where it is missing. Rows have coefficients of order
 1, or are multiplied by factors from 1e-6 to 1e6, which must not change the
 entries. Interval sets (a lower and an upper bound on some states) take the
-enumeration's box path below 13 states and the pairwise LPs at 13; their
+enumeration's box path below 13 states and the box closed form at 13; their
 payoffs are also multiplied by 10^U(-3, 3), and the entries must then match
 to the same tolerance times that factor.
 """

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import interval_rows
+from conftest import coupled_interval_rows, interval_rows
 from reference_solvers import regret_matrix_lp_reference
 
 from credalbudget.credal import Act, CredalSet, LinearConstraint
+from credalbudget.errors import GuardExceededError
 from credalbudget.regret import (
     NEG_INFINITY,
     RegretMatrix,
@@ -38,8 +39,11 @@ def test_finance_spot_entries(matrices):
 
 @pytest.mark.parametrize("n_states", [12, 14])
 def test_guarded_polytopes_take_the_lp_path(n_states):
-    # over ENUM_MAX_BASES (12 states) or ENUM_MAX_DIM (14 states)
-    credal = CredalSet.from_constraints(interval_rows(n_states, 0.02, 0.15), n_states)
+    # over ENUM_MAX_BASES (12 states) or ENUM_MAX_DIM (14 states), and no box
+    credal = CredalSet.from_constraints(coupled_interval_rows(n_states), n_states)
+    with pytest.raises(GuardExceededError):
+        credal.extreme_points()
+    assert credal.box_bounds() is None
     rng = np.random.default_rng(n_states)
     payoffs = rng.integers(0, 101, size=(6, n_states)).astype(float)
     acts = [Act(f"a{i}", tuple(row)) for i, row in enumerate(payoffs)]
