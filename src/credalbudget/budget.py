@@ -4,11 +4,14 @@ solve_minimax is the direct polynomial selection over per-act top-k regret
 columns. solve_maximin bisects the candidate regret levels, proving each
 probe feasible with the greedy pass (_greedy_cover) or the counting cover
 search (_cover_count) over int-bitmask covers (cover_family); its docstring
-gives the algorithm. solve_greedy takes k rounds of the single-pick solver,
-budgeted_rule turns an exact optimum into the decision rule, and the
-brute-force oracle (oracle_solve, oracle_optima) evaluates every subset for
-cross-checking. Every maximin search counts its nodes against one budget and
-raises GuardExceededError past MAXIMIN_MAX_NODES.
+gives the algorithm. A cover family runs the greedy pass at most once per k
+and builds its coverer masks only when a search reads them, so a lex solve
+whose floor greedy proves runs one greedy pass and builds no coverers.
+solve_greedy takes k rounds of the single-pick solver, budgeted_rule turns
+an exact optimum into the decision rule, and the brute-force oracle
+(oracle_solve, oracle_optima) evaluates every subset for cross-checking.
+Every maximin search counts its nodes against one budget and raises
+GuardExceededError past MAXIMIN_MAX_NODES.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -72,11 +76,24 @@ class CoverFamily:
 
     Bit j of masks[i] is set exactly when entries[i, j] <= alpha, or when
     j == i: an act always answers for itself. coverers is the transpose:
-    bit i of coverers[j] is set exactly when bit j of masks[i] is.
+    bit i of coverers[j] is set exactly when bit j of masks[i] is. It is
+    built from masks the first time a search reads it, so a family that only
+    the greedy pass reads never builds it. The family also keeps the greedy
+    pass's answer for each k it was asked about (_greedy_cover).
     """
 
     masks: tuple[int, ...]
-    coverers: tuple[int, ...]
+    _greedy: dict[int, tuple[int, ...] | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def coverers(self) -> tuple[int, ...]:
+        n = len(self.masks)
+        width = (n + 7) // 8
+        data = b"".join([mask.to_bytes(width, "little") for mask in self.masks])
+        rows = np.frombuffer(data, np.uint8).reshape(n, width)
+        return _packed_rows(np.unpackbits(rows, axis=1, count=n, bitorder="little").T)
 
 
 def _validate_k(k: int) -> None:
@@ -159,15 +176,20 @@ def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None)
 
 
 def cover_family(matrix: RegretMatrix, alpha: float) -> CoverFamily:
-    """Acts each act answers at regret <= alpha, itself included, and their coverers."""
-    n = matrix.n
+    """The acts each act answers at regret <= alpha, itself included; the
+    coverers wait for their first read."""
     within = matrix.entries <= alpha
     np.fill_diagonal(within, True)
-    packed = np.packbits(np.concatenate((within, within.T)), axis=1, bitorder="little")
+    return CoverFamily(_packed_rows(within))
+
+
+def _packed_rows(bits: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an int whose bit j is its entry j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
     width = packed.shape[1]
     data = packed.tobytes()
-    both = [int.from_bytes(data[r:r + width], "little") for r in range(0, len(data), width)]
-    return CoverFamily(tuple(both[:n]), tuple(both[n:]))
+    rows = range(0, len(data), width)
+    return tuple([int.from_bytes(data[r:r + width], "little") for r in rows])
 
 
 def reachability_check(
@@ -176,12 +198,14 @@ def reachability_check(
     """Find T with |T| = k whose members plus their covers reach all n = len(covers.masks) acts.
 
     Returns None when no such T exists. The subset of the greedy pass
-    (_greedy_cover) is returned when that pass reaches every act; otherwise
-    the lexicographically first such T is built pick by pick with the
-    counting cover search. The greedy pass only ever proves a level feasible,
-    so it does not affect completeness. `nodes_left` is a one-element node
-    budget shared across calls (a fresh budget of MAXIMIN_MAX_NODES when
-    omitted); the search raises GuardExceededError once it is spent.
+    (_greedy_cover) is returned when that pass reaches every act, read from
+    `covers` when an earlier caller ran the pass at this k, and then the
+    coverers are not built; otherwise the lexicographically first such T is
+    built pick by pick with the counting cover search. The greedy pass only
+    ever proves a level feasible, so it does not affect completeness.
+    `nodes_left` is a one-element node budget shared across calls (a fresh
+    budget of MAXIMIN_MAX_NODES when omitted); the search raises
+    GuardExceededError once it is spent.
     """
     _validate_k(k)
     n = len(covers.masks)
@@ -201,9 +225,16 @@ def _greedy_cover(covers: CoverFamily, k: int) -> tuple[int, ...] | None:
     unchosen ones up to k, when they reach every act, and None otherwise.
     A returned subset is itself a satisfying one, so it proves the level of
     `covers` feasible (the greedy set cover of Chvatal, Math. Oper. Res.
-    4(3), 1979); None proves nothing. No search node is spent.
+    4(3), 1979); None proves nothing. No search node is spent. The answer
+    is kept on `covers` per k, so asking again does not run the pass again.
     """
-    masks = covers.masks
+    if k not in covers._greedy:
+        covers._greedy[k] = _greedy_pass(covers.masks, k)
+    return covers._greedy[k]
+
+
+def _greedy_pass(masks: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+    """One run of the greedy pass that _greedy_cover describes."""
     n = len(masks)
     full = (1 << n) - 1
     covered = 0
@@ -368,8 +399,11 @@ def solve_maximin(
     for one subset; a probe at the floor reuses the floor's covers. A greedy
     success is itself a satisfying subset, so it changes which work is done,
     never the answer. The value is that lowest feasible level. Under the lex
-    policy, reachability_check finds the subset there: the one its greedy
-    pass returns, or else the lexicographically first satisfying subset.
+    policy, reachability_check finds the subset there: the one the greedy
+    pass returned, or else the lexicographically first satisfying subset.
+    Each family keeps its greedy answer per k, so the floor test, a probe
+    there and reachability_check share one pass, and only a search builds a
+    family's coverers: a lex solve whose floor greedy proves builds none.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.

@@ -192,6 +192,23 @@ def random_cover_families():
         yield n, covers
 
 
+def test_coverers_are_built_on_first_read_as_the_transpose():
+    # Widths around the byte and 64-bit boundaries; the masks themselves must
+    # hold entries <= alpha plus the diagonal, the coverers their transpose.
+    rng = np.random.default_rng(64)
+    for n in (*range(1, 11), 63, 64, 65, 200):
+        entries = rng.random((n, n))
+        covers = cover_family(RegretMatrix(tuple(f"a{i}" for i in range(n)), entries), 0.3)
+        assert "coverers" not in vars(covers)
+        within = (entries <= 0.3) | np.eye(n, dtype=bool)
+        rows = tuple(sum(1 << j for j in range(n) if within[i, j]) for i in range(n))
+        expected = tuple(sum(1 << i for i in range(n) if within[i, j]) for j in range(n))
+        assert covers.masks == rows
+        assert covers.coverers == expected
+        assert covers.coverers is covers.coverers
+        assert CoverFamily(covers.masks).coverers == expected
+
+
 def test_reachability_at_k_equal_n_takes_every_act():
     # Each act answers itself, so at k = n the greedy pass reaches every act.
     for n, covers in random_cover_families():
@@ -675,7 +692,8 @@ def test_packing_bound_cuts_at_the_root():
     masks = (0b001111, 0b010111, 0b100111, 0b001000, 0b010000, 0b100000)
     coverers = tuple(sum(1 << i for i in range(n) if masks[i] >> j & 1) for j in range(n))
     assert coverers[3:] == (0b001001, 0b010010, 0b100100)
-    covers = CoverFamily(masks, coverers)
+    covers = CoverFamily(masks)
+    assert covers.coverers == coverers
     assert sum(sorted((m.bit_count() for m in masks), reverse=True)[:2]) >= n
     nodes_left = [1000]
     assert _cover_count(covers, 2, 1, nodes_left) == 0

@@ -199,22 +199,80 @@ def test_greedy_cover_matches_reference():
 @pytest.mark.parametrize("dm", [2, 5, 10])
 def test_maximin_greedy_floor_needs_no_level_list(monkeypatch, dm):
     # The floor is the (n - k)-th smallest column minimum itself, so a floor
-    # that greedy proves needs no sorted list of the distinct levels.
+    # that greedy proves needs no sorted list of the distinct levels. The lex
+    # path then ends in reachability_check, which reuses the floor's greedy
+    # subset, and nothing reads the coverers; the seeded count reads them.
+    import credalbudget.budget as budget_mod
+
     config = GenConfig(
         n_acts=20, n_states=5, n_vertices=20, target_dm=dm, seed=trial_seeds(dm, 1)[0]
     )
     matrix = regret_matrix(*generate_instance(config))
+    greedy_pass, build = budget_mod._greedy_pass, budget_mod.cover_family
+    passes, families = [], []
 
     def no_levels(self):
         raise AssertionError("the level list was built")
 
+    def counted(masks, k):
+        passes.append(k)
+        return greedy_pass(masks, k)
+
+    def building(matrix, alpha):
+        families.append(build(matrix, alpha))
+        return families[-1]
+
     monkeypatch.setattr(RegretMatrix, "off_diagonal_values", no_levels)
+    monkeypatch.setattr(budget_mod, "_greedy_pass", counted)
+    monkeypatch.setattr(budget_mod, "cover_family", building)
     for k in range(dm, dm + 4):
+        passes.clear(), families.clear()
         sol = solve_maximin(matrix, k)
         assert (sol.subset, repr(sol.value)) == _repr(maximin_reference(matrix.entries, k, None))
+        assert passes == [k]
+        assert len(families) == 1 and "coverers" not in vars(families[0])
+        families.clear()
         sol = solve_maximin(matrix, k, tie_break="seeded", seed=k)
         ref = maximin_reference(matrix.entries, k, seeded_rng(k))
         assert (sol.subset, repr(sol.value)) == _repr(ref)
+        assert "coverers" in vars(families[0])
+
+
+def test_greedy_cover_keeps_each_k_apart():
+    # The family keeps the greedy pass's answer per k: asked at two k, it
+    # returns each k's own subset, and asked again, the very tuple it kept.
+    n = 12
+    entries = np.random.default_rng(2401).integers(-1, 5, size=(n, n)).astype(float)
+    covers = cover_family(RegretMatrix(tuple(f"a{i}" for i in range(n)), entries), 0.0)
+    hits = [k for k in range(1, n + 1) if greedy_cover_reference(covers.masks, k) is not None]
+    misses = [k for k in range(1, n + 1) if k not in hits]
+    asked = (hits[0], misses[0], hits[-1])
+    assert len(set(asked)) == 3
+    first = {k: _greedy_cover(covers, k) for k in asked}
+    for k in asked:
+        assert first[k] == greedy_cover_reference(covers.masks, k)
+    assert first[hits[0]] != first[hits[-1]]
+    for k in reversed(asked):
+        assert _greedy_cover(covers, k) is first[k]
+
+
+def test_maximin_floor_miss_builds_coverers_for_its_search(monkeypatch):
+    # Greedy misses this floor, so the bisection's searches read coverers.
+    import credalbudget.budget as budget_mod
+
+    build, families = budget_mod.cover_family, []
+
+    def building(matrix, alpha):
+        families.append(build(matrix, alpha))
+        return families[-1]
+
+    monkeypatch.setattr(budget_mod, "cover_family", building)
+    n, k = 10, 3
+    entries = np.random.default_rng(5000 + 10 * n).uniform(0, 1, (n, n))
+    sol = solve_maximin(RegretMatrix(tuple(f"a{i}" for i in range(n)), entries), k)
+    assert (sol.subset, repr(sol.value)) == _repr(maximin_reference(entries, k, None))
+    assert _greedy_cover(families[0], k) is None
+    assert any("coverers" in vars(covers) for covers in families)
 
 
 def test_maximin_matches_reference_on_uniform(monkeypatch):
