@@ -132,22 +132,28 @@ class CredalSet:
                     f"credal.constraints[{idx}].coeffs: expected {dimension} entries, "
                     f"got {len(c.coeffs)}"
                 )
-        a_list: list[np.ndarray] = []
+        # Unit rows (largest |coefficient| 1) make the simplex's absolute
+        # tolerances mean the same for every row; all-zero rows stay.
+        coefs = np.array([c.coeffs for c in rows], dtype=float).reshape(len(rows), dimension)
+        scales = np.abs(coefs).max(axis=1, initial=0.0).tolist()
+        # An `=` row gives its `<=` copy, then its `>=` copy; a `>=` copy is
+        # divided by -scale, which rounds to exactly -(coefs / scale).
+        picks: list[int] = []
+        divisors: list[float] = []
         b_list: list[float] = []
-        for c in rows:
-            # Unit rows (largest |coefficient| 1) make the simplex's absolute
-            # tolerances mean the same for every row; all-zero rows stay.
-            coefs = np.asarray(c.coeffs, dtype=float)
-            scale = float(np.abs(coefs).max(initial=0.0)) or 1.0
-            coefs = coefs / scale
+        for i, (c, scale) in enumerate(zip(rows, scales)):
+            scale = scale or 1.0
+            # Python division, so a rhs over a subnormal scale overflows to inf without a warning
             rhs = float(c.rhs) / scale
-            if c.relation in ("<=", "="):
-                a_list.append(coefs)
+            if c.relation != ">=":
+                picks.append(i)
+                divisors.append(scale)
                 b_list.append(rhs)
-            if c.relation in (">=", "="):
-                a_list.append(-coefs)
+            if c.relation != "<=":
+                picks.append(i)
+                divisors.append(-scale)
                 b_list.append(-rhs)
-        a_ub = np.array(a_list) if a_list else np.zeros((0, dimension))
+        a_ub = coefs[picks] / np.array(divisors)[:, None]
         b_ub = np.array(b_list)
         a_ub.setflags(write=False)
         b_ub.setflags(write=False)
@@ -234,25 +240,20 @@ class CredalSet:
                 systems, targets = systems[regular], targets[regular]
             points = np.linalg.solve(systems, targets[..., None])[..., 0]
             finite = np.isfinite(points).all(axis=1)
-            systems, targets, points = systems[finite], targets[finite], points[finite]
+            if not finite.all():
+                systems, targets, points = systems[finite], targets[finite], points[finite]
             solved = np.abs((systems @ points[..., None])[..., 0] - targets).max(axis=1)
             keep = solved <= 1e-7  # a larger residual means an ill-conditioned basis
             keep &= (points @ rows.T - rhs).max(axis=1) <= PMF_TOL
             points = points[keep]
-            # State axis outermost: each max reduces whole (points, ...) planes
-            # rather than a short inner axis of a few states; same bytes. The
-            # copies are C-ordered, which by_state[:, mask] would not be.
-            by_state = points.T.copy()
-            gaps = np.abs(by_state[:, :, None] - found.T[:, None, :]).max(axis=0)
-            points = points[(gaps > PMF_TOL).all(axis=1)]  # gaps: (points, found)
-            by_state = points.T.copy()
-            near = np.abs(by_state[:, :, None] - by_state[:, None, :]).max(axis=0)
-            near = (near <= PMF_TOL).tolist()
-            fresh: list[int] = []
-            for i in range(len(points)):  # in basis order, so the first of near-duplicates stays
-                if not any(near[i][j] for j in fresh):
-                    fresh.append(i)
-            found = np.concatenate([found, points[fresh]])
+            if len(found):
+                # State axis outermost: each max reduces whole (points, ...) planes
+                # rather than a short inner axis of a few states; same bytes. The
+                # copy is C-ordered, which by_state[:, mask] would not be.
+                by_state = points.T.copy()
+                gaps = np.abs(by_state[:, :, None] - found.T[:, None, :]).max(axis=0)
+                points = points[(gaps > PMF_TOL).all(axis=1)]  # gaps: (points, found)
+            found = np.concatenate([found, points[_first_of_near(points)]])
         if not len(found):
             raise InfeasibleCredalError("credal.constraints: polytope has no vertices")
         found.setflags(write=False)
@@ -343,7 +344,34 @@ class _Box:
         return keep
 
 
+def _first_of_near(points: np.ndarray) -> list[int]:
+    """Indices, in order, of the points that lie farther than PMF_TOL (max norm)
+    from every earlier point kept; so the first of near-duplicates stays.
+
+    Nearness need not chain: with a near b and b near c but a not near c,
+    b goes and c stays.
+    """
+    # State axis outermost, as in extreme_points; same bytes
+    by_state = points.T.copy()
+    near = np.abs(by_state[:, :, None] - by_state[:, None, :]).max(axis=0) <= PMF_TOL
+    # row i as an int whose bit j says whether points i and j are near
+    packed = np.packbits(near, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    fresh: list[int] = []
+    kept = 0
+    for i in range(len(points)):
+        if not int.from_bytes(data[i * width:(i + 1) * width], "little") & kept:
+            kept |= 1 << i
+            fresh.append(i)
+    return fresh
+
+
 def _repeated_states(states: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a (bases, k) array of state indices that hold one state twice."""
-    ordered = np.sort(states, axis=1)
-    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    """Mask of the rows of a (bases, k) array of state indices that hold one state twice.
+
+    A row's bits 1 << state sum to their bitwise or exactly when no two
+    coincide; states stay below ENUM_MAX_DIM, so no sum overflows.
+    """
+    bits = np.left_shift(1, states)
+    return bits.sum(axis=1) != np.bitwise_or.reduce(bits, axis=1)

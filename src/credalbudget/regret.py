@@ -237,10 +237,9 @@ def maximal_acts(matrix: RegretMatrix) -> tuple[int, ...]:
     expectation of (payoff_j - payoff_i) positive. The slack absorbs
     LP rounding so a genuinely maximal act is never dropped. Never empty.
     """
-    shielded = matrix.entries.copy()
-    np.fill_diagonal(shielded, np.inf)
-    # column i of entries collects the upper expectations of (payoff_i - payoff_j)
-    keep = shielded.min(axis=0) >= -VALUE_TOL
+    # column i of entries collects the upper expectations of (payoff_i - payoff_j);
+    # its stored diagonal, exactly 0.0, passes the test, so it decides nothing
+    keep = matrix.entries.min(axis=0) >= -VALUE_TOL
     return tuple(int(i) for i in np.flatnonzero(keep))
 
 

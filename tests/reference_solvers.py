@@ -16,8 +16,10 @@ directly. It still solves the general LP, with any `=` rows, that the
 library's kernel took before it was fixed to the credal form; the tests
 give it sum p = 1 as its one `=` row. The box regret reference is the
 interval closed form poured one state at a time in exact `Fraction`
-arithmetic. The differential tests compare the library against them; do
-not change them to match the library.
+arithmetic. The constraint rows are scaled one row at a time, as they
+were before `CredalSet.from_constraints` scaled them all in one array step.
+The differential tests compare the library against them; do not change them
+to match the library.
 
 The seeded branches of the minimax and greedy references state the seeded
 tie contract in plain per-row Python, and change only when that contract
@@ -107,6 +109,27 @@ def pairwise_regret_reference(vertices: np.ndarray, payoffs: np.ndarray) -> np.n
     entries = diff.max(axis=0)
     np.fill_diagonal(entries, 0.0)
     return entries
+
+
+def constraint_rows_reference(constraints, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_ub, b_ub) of CredalSet.from_constraints: each row over its largest
+    |coefficient| (1 for an all-zero row), a `>=` row negated, an `=` row as
+    its `<=` then its `>=` copy."""
+    a_list: list[np.ndarray] = []
+    b_list: list[float] = []
+    for c in constraints:
+        coefs = np.asarray(c.coeffs, dtype=float)
+        scale = float(np.abs(coefs).max(initial=0.0)) or 1.0
+        coefs = coefs / scale
+        rhs = float(c.rhs) / scale
+        if c.relation in ("<=", "="):
+            a_list.append(coefs)
+            b_list.append(rhs)
+        if c.relation in (">=", "="):
+            a_list.append(-coefs)
+            b_list.append(-rhs)
+    a_ub = np.array(a_list) if a_list else np.zeros((0, dimension))
+    return a_ub, np.array(b_list)
 
 
 def extreme_points_reference(a_ub: np.ndarray, b_ub: np.ndarray, n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from conftest import coupled_interval_rows, interval_rows
 from reference_solvers import (
     basic_feasible_points,
     box_regret_reference,
+    constraint_rows_reference,
     extreme_points_reference,
     greedy_cover_reference,
     greedy_reference,
@@ -52,6 +53,7 @@ from credalbudget.credal import (
     CredalSet,
     LinearConstraint,
     _Box,
+    _first_of_near,
     _repeated_states,
 )
 from credalbudget.errors import GuardExceededError, InfeasibleCredalError
@@ -571,6 +573,77 @@ def test_enumeration_spans_many_chunks():
     credal = CredalSet.from_constraints([LinearConstraint(u, "<=", 0.3) for u in units], 8)
     assert math.comb(16, 7) <= ENUM_MAX_BASES
     assert credal.extreme_points().tobytes() == reference_vertices(credal).tobytes()
+
+
+def scaling_rows(rng: np.random.Generator, d: int) -> list[LinearConstraint]:
+    """Rows of every relation, all met by one pmf, for the row scaling.
+
+    Coefficients mix integers, reals, 0.0 and -0.0; some rows are all zero,
+    some rescale an earlier row, and some have one subnormal coefficient, so
+    their scaled rhs overflows to inf.
+    """
+    center = rng.dirichlet(np.ones(d))
+    rows = []
+    for _ in range(int(rng.integers(0, 9))):
+        form = int(rng.integers(0, 5))
+        relation = str(rng.choice(["<=", ">=", "="]))
+        if form == 3 and rows:  # an earlier row times a positive factor
+            first = rows[int(rng.integers(0, len(rows)))]
+            factor = float(rng.choice([0.5, 3.0, 1e-3, 7.25]))
+            coeffs = tuple(factor * v for v in first.coeffs)
+            rows.append(LinearConstraint(coeffs, first.relation, factor * first.rhs))
+            continue
+        if form == 4:  # |rhs| / 1e-310 overflows; the row holds for every pmf
+            coeffs = tuple(1e-310 if t == 0 else float(rng.choice([0.0, -0.0])) for t in range(d))
+            relation = str(rng.choice(["<=", ">="]))
+            rows.append(LinearConstraint(coeffs, relation, 0.5 if relation == "<=" else -0.5))
+            continue
+        if form == 0:
+            coeffs = rng.integers(-3, 4, size=d).astype(float)
+        elif form == 1:
+            coeffs = rng.uniform(-2.0, 2.0, size=d) * (rng.random(d) < 0.7)
+        else:
+            coeffs = np.zeros(d)
+        coeffs[rng.random(d) < 0.3] = -0.0
+        level = float(coeffs @ center)
+        slack = float(rng.uniform(0.0, 0.2))
+        rhs = level + slack if relation == "<=" else level - slack if relation == ">=" else level
+        rows.append(LinearConstraint(tuple(coeffs.tolist()), relation, rhs))
+    return rows
+
+
+def test_row_scaling_matches_row_loop():
+    rng = np.random.default_rng(77)
+    overflowed = negative_zeros = zero_rows = 0
+    for trial in range(300):
+        d = int(rng.integers(1, 9))
+        rows = scaling_rows(rng, d) if trial else []
+        credal = CredalSet.from_constraints(rows, d)
+        want_a, want_b = constraint_rows_reference(rows, d)
+        assert credal._a_ub.shape == want_a.shape and credal._a_ub.dtype == want_a.dtype
+        assert credal._a_ub.tobytes() == want_a.tobytes()
+        assert credal._b_ub.shape == want_b.shape and credal._b_ub.dtype == want_b.dtype
+        assert credal._b_ub.tobytes() == want_b.tobytes()
+        overflowed += bool(np.isinf(want_b).any())
+        negative_zeros += bool((np.signbit(want_a) & (want_a == 0.0)).any())
+        zero_rows += bool((want_a == 0.0).all(axis=1).any())
+    assert overflowed > 20 and negative_zeros > 100 and zero_rows > 20
+
+
+def test_near_duplicates_are_judged_against_kept_points():
+    # a near b and b near c, but a not near c: b goes, c stays, and c's
+    # exact copy goes. Comparing with every earlier point would drop c too.
+    a = np.array([0.5, 0.5])
+    step = np.array([0.7e-9, -0.7e-9])
+    points = np.array([a, a + step, a + 2 * step, a + 2 * step])
+    assert np.abs(points[1] - points[0]).max() <= 1e-9
+    assert np.abs(points[2] - points[1]).max() <= 1e-9
+    assert np.abs(points[2] - points[0]).max() > 1e-9
+    assert _first_of_near(points) == [0, 2]
+    assert _first_of_near(points[:0]) == []
+    # 70 points, so each row of the near matrix spans several bytes
+    chain = a + np.arange(70)[:, None] * step
+    assert _first_of_near(chain) == list(range(0, 70, 2))
 
 
 def unit(d: int, s: int, scale: float = 1.0) -> tuple[float, ...]:

@@ -130,6 +130,25 @@ def test_maximality(matrices):
     assert maximal_acts(matrices["multilabel"]) == tuple(range(8))
 
 
+def test_maximality_reads_the_zero_diagonal():
+    # Column i holds act i's regrets against each challenger, and its stored
+    # diagonal is 0.0 whatever the input held there. Columns 0 and 1 have
+    # their smallest entry on the diagonal; column 2's is -0.5e-9, inside the
+    # slack; column 3's is -2e-9, outside it.
+    entries = np.array(
+        [
+            [-7.0, 1.0, 2.0, 3.0],
+            [4.0, -7.0, -0.5e-9, -2e-9],
+            [5.0, 6.0, -7.0, 1.0],
+            [7.0, 8.0, 9.0, -7.0],
+        ]
+    )
+    matrix = RegretMatrix(("a", "b", "c", "d"), entries)
+    assert np.diag(matrix.entries).tolist() == [0.0] * 4
+    assert maximal_acts(matrix) == (0, 1, 2)
+    assert maximal_acts(RegretMatrix(("only",), np.array([[-1.0]]))) == (0,)
+
+
 def test_neg_infinity_sentinel_orders_below_everything():
     assert NEG_INFINITY < -1e308
     assert NEG_INFINITY == float("-inf")
