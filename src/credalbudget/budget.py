@@ -1,12 +1,15 @@
 """Optimal budgeted subsets of acts under the two regret criteria.
 
 solve_minimax is the direct polynomial selection over per-act top-k regret
-columns. solve_maximin bisects the candidate regret levels, proving each
-probe feasible with the greedy pass (_greedy_cover) or the counting cover
-search (_cover_count) over int-bitmask covers (cover_family); its docstring
-gives the algorithm. A cover family runs the greedy pass at most once per k
-and builds its coverer masks only when a search reads them, so a lex solve
-whose floor greedy proves runs one greedy pass and builds no coverers.
+columns. solve_maximin reads its floor from the matrix's sorted column
+minima, built once per matrix, and bisects the candidate regret levels,
+proving each probe feasible with the greedy pass (_greedy_cover) or the
+counting cover search (_cover_count) over int-bitmask covers
+(cover_family); its docstring gives the algorithm. The greedy pass is the
+lazy one: a heap of stale gains, of which only the top is recomputed. A
+cover family runs the greedy pass at most once per k and builds its coverer
+masks only when a search reads them, so a lex solve whose floor greedy
+proves runs one greedy pass and builds no coverers.
 solve_greedy takes k rounds of the single-pick solver, budgeted_rule turns
 an exact optimum into the decision rule, and the brute-force oracle
 (oracle_solve, oracle_optima) evaluates every subset for cross-checking.
@@ -16,6 +19,7 @@ GuardExceededError past MAXIMIN_MAX_NODES.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -150,19 +154,23 @@ def solve_minimax(
     regrets.partition(n - k, axis=1)
     kth = regrets[:, n - k]
     i_star = _pick((kth == kth.min()).nonzero()[0].tolist(), rng)
-    top, best, drop = _row_top(entries[i_star].tolist(), i_star, k, rng)
+    top, best, drop = _row_top(entries[i_star], i_star, k, rng)
     subset = sorted(({i_star} | set(top)) - {drop})
     return BudgetSolution(tuple(subset), best, Criterion.MINIMAX, 1, label)
 
 
-def _row_top(vals: list[float], i: int, k: int, rng: np.random.Generator | None):
+def _row_top(row: np.ndarray, i: int, k: int, rng: np.random.Generator | None):
     """Act i's k top challengers, their smallest regret, and the one to drop.
 
+    The challengers are ordered by decreasing regret, lower index first: a
+    stable argsort of the negated row, which is the (-regret, index) order.
     The border is every challenger whose regret equals that smallest one.
     Seeded draws the border's places in the top k only when the border
     holds more acts than places; otherwise both policies take order[:k].
     """
-    order = sorted((j for j in range(len(vals)) if j != i), key=lambda j: (-vals[j], j))
+    vals = row.tolist()
+    order = np.argsort(-row, kind="stable").tolist()
+    order.remove(i)
     threshold = vals[order[k - 1]]
     top = order[:k]
     at_min = [j for j in top if vals[j] == threshold]
@@ -225,8 +233,10 @@ def _greedy_cover(covers: CoverFamily, k: int) -> tuple[int, ...] | None:
     unchosen ones up to k, when they reach every act, and None otherwise.
     A returned subset is itself a satisfying one, so it proves the level of
     `covers` feasible (the greedy set cover of Chvatal, Math. Oper. Res.
-    4(3), 1979); None proves nothing. No search node is spent. The answer
-    is kept on `covers` per k, so asking again does not run the pass again.
+    4(3), 1979); None proves nothing. No search node is spent. The pass
+    recomputes gains lazily (_greedy_pass), with the picks of a full rescan
+    in every round. The answer is kept on `covers` per k, so asking again
+    does not run the pass again.
     """
     if k not in covers._greedy:
         covers._greedy[k] = _greedy_pass(covers.masks, k)
@@ -234,17 +244,34 @@ def _greedy_cover(covers: CoverFamily, k: int) -> tuple[int, ...] | None:
 
 
 def _greedy_pass(masks: tuple[int, ...], k: int) -> tuple[int, ...] | None:
-    """One run of the greedy pass that _greedy_cover describes."""
+    """One run of the greedy pass that _greedy_cover describes.
+
+    Gains only fall as acts get covered, so a heap keeps each unchosen act's
+    last computed gain as an upper bound, and only the top entry is
+    recomputed until its gain holds (the accelerated greedy of Minoux,
+    1978). The key (n - gain) * n + act sorts as (-gain, act), and a stale
+    key never sorts after the act's true one, so the top whose gain holds is
+    the highest gain, lowest index first: the pick of a full rescan.
+    """
     n = len(masks)
     full = (1 << n) - 1
     covered = 0
     chosen: list[int] = []
+    heap = [(n - mask.bit_count()) * n + i for i, mask in enumerate(masks)]
+    heapq.heapify(heap)
     for _ in range(k):
-        # Each act covers itself, so while one is missing the best gain (its lowest act by
-        # index()) is at least 1 and unchosen; without self bits the pass returns None.
         missing = full & ~covered
-        gains = [(m & missing).bit_count() for m in masks]
-        i = gains.index(max(gains))
+        while heap:
+            lost, i = divmod(heap[0], n)
+            gain = (masks[i] & missing).bit_count()
+            if gain == n - lost:
+                break
+            heapq.heapreplace(heap, (n - gain) * n + i)
+        # Each act covers itself, so while one is missing the best gain is at least 1;
+        # without self bits a best gain of 0, or no act left, means no pick reaches more.
+        if not heap or gain == 0:
+            return None
+        heapq.heappop(heap)
         chosen.append(i)
         covered |= masks[i]
         if covered == full:
@@ -389,21 +416,23 @@ def solve_maximin(
     the optimum, and feasibility only grows with the level. The floor is the
     (n - k)-th smallest off-diagonal column minimum, since each act outside
     a subset is answered at no less than its column minimum; being an entry,
-    it is itself a level. When the greedy pass (_greedy_cover) reaches every
-    act at the floor, the floor is the optimum and nothing else is searched
-    or sorted. Otherwise the distinct levels are sorted and the ceiling is
-    computed: the maximin regret of the lex minimax subset, which reaches
-    every act at that level, so the ceiling needs no probe; it is at most
-    the minimax optimum. Each probed level is feasible when the greedy pass
-    reaches every act there, and otherwise asks the counting cover search
-    for one subset; a probe at the floor reuses the floor's covers. A greedy
-    success is itself a satisfying subset, so it changes which work is done,
-    never the answer. The value is that lowest feasible level. Under the lex
-    policy, reachability_check finds the subset there: the one the greedy
-    pass returned, or else the lexicographically first satisfying subset.
-    Each family keeps its greedy answer per k, so the floor test, a probe
-    there and reachability_check share one pass, and only a search builds a
-    family's coverers: a lex solve whose floor greedy proves builds none.
+    it is itself a level, read as one element of matrix.column_minima, which
+    a k-sweep over one matrix builds once. When the greedy pass
+    (_greedy_cover) reaches every act at the floor, the floor is the optimum
+    and nothing else is searched or sorted. Otherwise the distinct levels
+    are sorted and the ceiling is computed: the maximin regret of the lex
+    minimax subset, which reaches every act at that level, so the ceiling
+    needs no probe; it is at most the minimax optimum. Each probed level is
+    feasible when the greedy pass reaches every act there, and otherwise
+    asks the counting cover search for one subset; a probe at the floor
+    reuses the floor's covers. A greedy success is itself a satisfying
+    subset, so it changes which work is done, never the answer. The value is
+    that lowest feasible level. Under the lex policy, reachability_check
+    finds the subset there: the one the greedy pass returned, or else the
+    lexicographically first satisfying subset. Each family keeps its greedy
+    answer per k, so the floor test, a probe there and reachability_check
+    share one pass, and only a search builds a family's coverers: a lex
+    solve whose floor greedy proves builds none.
 
     The seeded policy draws uniformly among the optimal subsets: those that
     satisfy the exact covers at the optimal value, in lexicographic order.
@@ -425,10 +454,7 @@ def solve_maximin(
     nodes_left = [MAXIMIN_MAX_NODES]
     # Each of the n - k acts outside T is answered at no less than its column
     # minimum. That minimum is itself an off-diagonal entry, so it is a level.
-    answers = matrix.entries.copy()
-    np.fill_diagonal(answers, np.inf)
-    column_mins = answers.min(axis=0)
-    value = float(np.partition(column_mins, n - k - 1)[n - k - 1])
+    value = float(matrix.column_minima[n - k - 1])
     covers = cover_family(matrix, value)
     if _greedy_cover(covers, k) is None:
         levels = np.unique(matrix.off_diagonal_values())

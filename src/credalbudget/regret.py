@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,18 @@ class RegretMatrix:
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def column_minima(self) -> np.ndarray:
+        """For each challenger j, the smallest regret any other act answers
+        it with (the minimum of entries[i, j] over i != j), in ascending
+        order: n floats, built on first read and read-only. A 1-act matrix
+        has no such entry and reads +inf."""
+        answers = self.entries.copy()
+        np.fill_diagonal(answers, np.inf)
+        minima = np.sort(answers.min(axis=0))
+        minima.setflags(write=False)
+        return minima
 
     def off_diagonal_values(self) -> np.ndarray:
         mask = ~np.eye(self.n, dtype=bool)

@@ -94,6 +94,22 @@ def test_runs_are_deterministic_per_seed():
     assert c == d
 
 
+def test_consistency_runs_greedy_once_per_budget(monkeypatch, small_run):
+    # The greedy subset does not depend on the criterion, so one greedy run
+    # per (trial, k) gives both greedy rules; the rows stay as they were.
+    import credalbudget.bench as bench_mod
+
+    solve, calls = bench_mod.solve_greedy, []
+
+    def counted(matrix, k, criterion, **policy):
+        calls.append(k)
+        return solve(matrix, k, criterion, **policy)
+
+    monkeypatch.setattr(bench_mod, "solve_greedy", counted)
+    assert run_consistency_trials(6, SMALL, range(2, 5), master_seed=17) == small_run
+    assert calls == [2, 3, 4] * 6
+
+
 def test_trials_validation():
     with pytest.raises(ValueError):
         run_consistency_trials(0, SMALL, range(2, 3), master_seed=1)

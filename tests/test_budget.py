@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import itertools
@@ -13,6 +14,7 @@ from credalbudget.budget import (
     CoverFamily,
     Criterion,
     _cover_count,
+    _row_top,
     _subset_at_rank,
     budgeted_rule,
     cover_family,
@@ -681,6 +683,98 @@ def test_maximin_alpha_bounds():
             minimax = solve_minimax(matrix, k)
             ceiling = maximin_regret(matrix, minimax.subset)
             assert column_mins[n - k - 1] <= plus.value <= ceiling <= minimax.value
+
+
+def _tied_matrix(seed: int, n: int) -> RegretMatrix:
+    """Small-integer entries, so column minima and challengers tie often."""
+    entries = np.random.default_rng(seed).integers(-3, 4, (n, n)).astype(float)
+    return RegretMatrix(tuple(f"a{i}" for i in range(n)), entries)
+
+
+def test_column_minima_are_built_once_per_matrix(monkeypatch):
+    # A k-sweep of maximin solves, lex and seeded, reads its floors from one
+    # build of the sorted column minima, on first use.
+    built = []
+    build = RegretMatrix.__dict__["column_minima"].func
+
+    def spied(matrix):
+        built.append(matrix)
+        return build(matrix)
+
+    spy = functools.cached_property(spied)
+    spy.__set_name__(RegretMatrix, "column_minima")
+    monkeypatch.setattr(RegretMatrix, "column_minima", spy)
+    matrix = _tied_matrix(3800, 12)
+    assert built == []
+    for k in range(1, matrix.n + 1):
+        solve_maximin(matrix, k)
+        solve_maximin(matrix, k, tie_break="seeded", seed=k)
+    assert built == [matrix]
+
+
+def test_column_minima_give_the_partition_floor():
+    # Element n - k - 1 of the sorted minima is the (n - k)-th smallest
+    # column minimum, as np.partition over a +inf diagonal gives it, for
+    # every k, and no optimum lies below it.
+    matrices = [random_matrix(seed + 3800) for seed in range(10)]
+    matrices += [_tied_matrix(3810 + n, n) for n in range(2, 12)]
+    for matrix in matrices:
+        n = matrix.n
+        shielded = matrix.entries.copy()
+        np.fill_diagonal(shielded, np.inf)
+        column_mins = shielded.min(axis=0)
+        for k in range(1, n):
+            floor = float(np.partition(column_mins, n - k - 1)[n - k - 1])
+            assert repr(float(matrix.column_minima[n - k - 1])) == repr(floor)
+            assert floor <= solve_maximin(matrix, k).value
+        assert matrix.column_minima.shape == (n,)
+    single = RegretMatrix(("a0",), np.zeros((1, 1)))
+    assert single.column_minima.tolist() == [np.inf]
+
+
+def test_column_minima_are_read_only():
+    matrix = _tied_matrix(3820, 6)
+    minima = matrix.column_minima
+    before = minima.tobytes()
+    with pytest.raises(ValueError):
+        minima[0] = -100.0
+    with pytest.raises(ValueError):
+        minima.sort()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matrix.column_minima = np.zeros(6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del matrix.column_minima
+    assert matrix.column_minima is minima and minima.tobytes() == before
+
+
+def test_only_maximin_builds_column_minima():
+    matrix = _tied_matrix(3830, 10)
+    for k in range(1, matrix.n + 1):
+        for policy in ({}, {"tie_break": "seeded", "seed": k}):
+            solve_minimax(matrix, k, **policy)
+            solve_greedy(matrix, k, Criterion.MINIMAX, **policy)
+            solve_greedy(matrix, k, Criterion.MAXIMIN, **policy)
+        budgeted_rule(matrix, k, Criterion.MINIMAX)
+    maximal_acts(matrix)
+    assert "column_minima" not in vars(matrix)
+    solve_maximin(matrix, 3)
+    assert "column_minima" in vars(matrix)
+
+
+def test_minimax_anchor_orders_tied_challengers_by_index():
+    # The anchor's challengers come by decreasing regret, lower index first,
+    # with the anchor itself left out even where its 0.0 diagonal ties them.
+    matrix = _tied_matrix(3840, 9)
+    n = matrix.n
+    for i in range(n):
+        row = matrix.entries[i]
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (-row[j], j))
+        for k in range(1, n):
+            top, threshold, drop = _row_top(row, i, k, None)
+            assert top == order[:k]
+            assert threshold == row[order[k - 1]]
+            assert drop == min(j for j in top if row[j] == threshold)
+    assert any((row == 0.0).sum() > 1 for row in matrix.entries)
 
 
 def test_packing_bound_cuts_at_the_root():

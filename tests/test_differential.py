@@ -39,6 +39,7 @@ from credalbudget.bench import trial_seeds
 from credalbudget.budget import (
     Criterion,
     _greedy_cover,
+    _greedy_pass,
     cover_family,
     oracle_optima,
     oracle_solve,
@@ -195,6 +196,32 @@ def test_greedy_cover_matches_reference():
                     assert _greedy_cover(covers, k) == expected
                     cases += 1
                     found += expected is not None
+    assert 0 < found < cases
+
+
+def test_lazy_greedy_pass_matches_reference():
+    # Random masks, sparse and dense, with and without each act's own bit,
+    # at every k: the heap's stale gains must give the frozen full rescan's
+    # picks, the highest gain and the lowest act among equal gains, and its
+    # None where the picks fall short. Widths 127-129 cross a byte and 64-bit
+    # word border of the masks.
+    rng = np.random.default_rng(3700)
+    cases = found = 0
+    for n in (*range(1, 71), 127, 128, 129, 200):
+        for density, own_bits in itertools.product((2.0 / n, 0.5), (True, False)):
+            # The frozen rescan costs O(k * n) per call, and sparse masks without
+            # their own bits keep it running to k = n, so wide ones skip that case.
+            if n > 70 and density < 0.5 and not own_bits:
+                continue
+            bits = rng.random((n, n)) < density
+            if own_bits:
+                np.fill_diagonal(bits, True)
+            masks = tuple(sum(1 << int(j) for j in np.flatnonzero(row)) for row in bits)
+            for k in range(1, n + 1):
+                expected = greedy_cover_reference(masks, k)
+                assert _greedy_pass(masks, k) == expected, (n, density, own_bits, k)
+                cases += 1
+                found += expected is not None
     assert 0 < found < cases
 
 
